@@ -8,16 +8,17 @@ full transfer (XDR deep copy) must marshal, and that margin is what
 makes shared state practical over real links.  This benchmark prices
 that story at production data sizes — 1, 8, and 32 MB integer arrays
 with 10% scattered writes (every 10th word, so run splicing cannot merge
-anything) — against three yardsticks:
+anything) — against two yardsticks:
 
 - **XDR full transfer** (``repro.rpc.xdr``): marshal + unmarshal of the
   whole array, the RPC baseline of figure 4, measured at every size;
-- **the pre-change data plane** (``REPRO_WIRE_LEGACY_DATAPLANE`` /
-  ``set_legacy_dataplane``): the interleaved per-run encode/decode that
-  built one ``DiffRun`` object and one payload copy per run, measured at
-  the 8 MB point (it is quadratically painful beyond that);
 - **copy amplification**: ``wire.bytes_copied`` (every payload
   materialization on the release path) over the bytes actually shipped.
+
+The pre-columnar data plane (interleaved per-run encode/decode, one
+``DiffRun`` object and one payload copy per run) no longer exists in the
+code; its 8 MB measurement, recorded at commit 91a4629, is carried in
+``BENCH_datasize.json`` as ``legacy_baseline`` for the historical record.
 
 The measured operation is the full write-release path: client word
 diffing + columnar collect + single-buffer encode, server decode +
@@ -26,16 +27,16 @@ cache and WAL (the WAL tier is enabled, ``fsync`` off).
 
 Acceptance (see the tests below):
 
-- the zero-copy data plane releases >= 2x faster than the legacy
-  toggle at 8 MB / 10% scattered writes;
 - copy amplification on the release path stays <= 3x the shipped bytes;
 - the diff wins the paper's margin at every size: <= 60% of XDR's wire
   bytes, and faster end-to-end under the modeled LAN bandwidth
   (``REPRO_BENCH_DATASIZE_MBPS``, default 100 Mbit/s — the paper era's
   fast Ethernet);
-- a cProfile gate: no per-word Python loop (``_collect_per_unit``,
-  ``_apply_per_unit``, ``iter_units``, or any function called once per
-  word) may appear in the hot profile of an 8 MB release.
+- a cProfile gate on both ends of an 8 MB update: no per-word Python
+  loop (``_collect_per_unit``, ``_apply_per_unit``, ``iter_units``, or any
+  function called once per word) in the hot profile of the writer's
+  release, and none of those names nor any function called once per
+  *run* in the hot profile of the reader's read-acquire applying it.
 
 Results land in ``BENCH_datasize.json`` at the repo root plus a metrics
 sidecar in ``benchmarks/out/``.  Every phase is deadline-guarded
@@ -68,10 +69,9 @@ import numpy as np
 from common import World, build_workload
 
 from repro import InProcHub, InterWeaveClient, InterWeaveServer, VirtualClock
-from repro.arch import X86_32, PrimKind
+from repro.arch import SPARC_V9, X86_32, PrimKind
 from repro.obs import get_registry, write_sidecar
 from repro.rpc import XDRTranslator
-from repro.wire import set_legacy_dataplane
 
 #: working-set sizes in MiB (the paper ran at 1; 8 and 32 are the
 #: "production data sizes" this data plane is built for)
@@ -86,8 +86,21 @@ MODEL_MBPS = float(os.environ.get("REPRO_BENCH_DATASIZE_MBPS", "100"))
 #: per-phase hang guard, like REPRO_BENCH_CONNSCALE_DEADLINE
 DEADLINE_SECONDS = float(os.environ.get("REPRO_BENCH_DATASIZE_DEADLINE",
                                         "300"))
-#: the legacy data plane is only priced at its survivable size
-LEGACY_MB = 8
+#: the size the profile gates run at
+PROFILE_MB = 8
+#: the deleted pre-columnar data plane's last measurement, verbatim from
+#: the BENCH_datasize.json committed with it (``speedup`` is against that
+#: run's 8 MB zero-copy point)
+LEGACY_BASELINE = {
+    "recorded_at_commit": "91a4629",
+    "mb": 8,
+    "release_s": 0.7356698229996255,
+    "release_rounds_s": [0.7734774480013584, 0.7356698229996255],
+    "diff_wire_bytes": 3355508,
+    "bytes_copied": 17616144,
+    "copy_amplification": 5.2499186412310745,
+    "speedup": 7.932882697864066,
+}
 #: functions that are, by construction, per-word Python loops — none may
 #: show up in the hot profile of an MB-scale release
 BANNED_HOT_FUNCTIONS = {"_collect_per_unit", "_apply_per_unit",
@@ -138,47 +151,41 @@ def _modify_scattered(workload, salt: int) -> None:
     client.memory.store(address, updated.tobytes())
 
 
-def _measure_release(data_bytes: int, legacy: bool,
-                     deadline: _Deadline, rounds: int = ROUNDS) -> dict:
+def _measure_release(data_bytes: int, deadline: _Deadline,
+                     rounds: int = ROUNDS) -> dict:
     """Best-of-N wall time of the full release path, plus the byte
     accounting (shipped diff size, copies) of one representative round."""
-    set_legacy_dataplane(legacy)
     registry = get_registry()
-    try:
-        with tempfile.TemporaryDirectory(prefix="bench-datasize-") as tmp:
-            world = _make_world(tmp)
-            workload = build_workload("int_array", world,
-                                      data_bytes=data_bytes)
-            client = world.client
-            times, accounting = [], None
-            for salt in range(rounds):
-                deadline.check(f"release round {salt}")
-                client.wl_acquire(workload.segment)
-                _modify_scattered(workload, salt)
-                copied0 = registry.counter("wire.bytes_copied").value
-                started = time.perf_counter()
-                client.wl_release(workload.segment)
-                times.append(time.perf_counter() - started)
-                if accounting is None:
-                    copied = (registry.counter("wire.bytes_copied").value
-                              - copied0)
-                    version = workload.segment.version
-                    encoded = world.server.diff_cache.get(
-                        workload.segment.name, version - 1, version)
-                    accounting = {
-                        "diff_wire_bytes": len(encoded) if encoded else 0,
-                        "bytes_copied": copied,
-                    }
-            wire_bytes = max(accounting["diff_wire_bytes"], 1)
-            return {
-                "release_s": min(times),
-                "release_rounds_s": times,
-                "copy_amplification":
-                    accounting["bytes_copied"] / wire_bytes,
-                **accounting,
-            }
-    finally:
-        set_legacy_dataplane(False)
+    with tempfile.TemporaryDirectory(prefix="bench-datasize-") as tmp:
+        world = _make_world(tmp)
+        workload = build_workload("int_array", world, data_bytes=data_bytes)
+        client = world.client
+        times, accounting = [], None
+        for salt in range(rounds):
+            deadline.check(f"release round {salt}")
+            client.wl_acquire(workload.segment)
+            _modify_scattered(workload, salt)
+            copied0 = registry.counter("wire.bytes_copied").value
+            started = time.perf_counter()
+            client.wl_release(workload.segment)
+            times.append(time.perf_counter() - started)
+            if accounting is None:
+                copied = (registry.counter("wire.bytes_copied").value
+                          - copied0)
+                version = workload.segment.version
+                encoded = world.server.diff_cache.get(
+                    workload.segment.name, version - 1, version)
+                accounting = {
+                    "diff_wire_bytes": len(encoded) if encoded else 0,
+                    "bytes_copied": copied,
+                }
+        wire_bytes = max(accounting["diff_wire_bytes"], 1)
+        return {
+            "release_s": min(times),
+            "release_rounds_s": times,
+            "copy_amplification": accounting["bytes_copied"] / wire_bytes,
+            **accounting,
+        }
 
 
 def _measure_xdr(data_bytes: int, deadline: _Deadline,
@@ -215,37 +222,54 @@ def _modeled_e2e(cpu_seconds: float, wire_bytes: int) -> float:
     return cpu_seconds + wire_bytes / (MODEL_MBPS * 125_000.0)
 
 
-def _profile_release(data_bytes: int, deadline: _Deadline) -> dict:
-    """cProfile one release; return the top-N tottime functions and any
-    banned per-word loops among them."""
-    set_legacy_dataplane(False)
-    with tempfile.TemporaryDirectory(prefix="bench-datasize-") as tmp:
-        world = _make_world(tmp)
-        workload = build_workload("int_array", world, data_bytes=data_bytes)
-        client = world.client
-        client.wl_acquire(workload.segment)
-        _modify_scattered(workload, salt=99)
-        deadline.check("profiled release")
-        profiler = cProfile.Profile()
-        profiler.enable()
-        client.wl_release(workload.segment)
-        profiler.disable()
+def _hot_profile(profiler: cProfile.Profile, call_limit: int) -> dict:
+    """The top-N tottime functions of a profile and the offenders among
+    them: banned per-word loops, or anything called ``call_limit`` times."""
     stats = pstats.Stats(profiler)
     entries = sorted(stats.stats.items(),
                      key=lambda item: item[1][2], reverse=True)
-    words = data_bytes // 4
     top, offenders = [], []
     for (filename, lineno, name), (cc, ncalls, tottime, _, _) in \
             entries[:PROFILE_TOP_N]:
         row = {"function": name, "file": os.path.basename(filename),
                "calls": ncalls, "tottime_s": round(tottime, 6)}
         top.append(row)
-        if name in BANNED_HOT_FUNCTIONS:
+        if name in BANNED_HOT_FUNCTIONS or ncalls >= call_limit:
             offenders.append(row)
-        elif ncalls >= words:  # something is looping once per word
-            offenders.append(row)
-    return {"top": top, "offenders": offenders,
-            "top_n": PROFILE_TOP_N, "words": words}
+    return {"top": top, "offenders": offenders, "top_n": PROFILE_TOP_N,
+            "call_limit": call_limit}
+
+
+def _profile_update(data_bytes: int, deadline: _Deadline) -> dict:
+    """cProfile one scattered update at both ends: the writer's release
+    (nothing may loop once per word) and a big-endian reader's
+    read-acquire applying it (nothing may loop once per run)."""
+    words = data_bytes // 4
+    with tempfile.TemporaryDirectory(prefix="bench-datasize-") as tmp:
+        world = _make_world(tmp)
+        workload = build_workload("int_array", world, data_bytes=data_bytes)
+        writer = world.client
+        reader = world.new_client("reader", SPARC_V9)
+        cached = reader.open_segment(workload.segment.name, create=False)
+        reader.rl_acquire(cached)
+        reader.rl_release(cached)
+        writer.wl_acquire(workload.segment)
+        _modify_scattered(workload, salt=99)
+        deadline.check("profiled release")
+        release = cProfile.Profile()
+        release.enable()
+        writer.wl_release(workload.segment)
+        release.disable()
+        deadline.check("profiled read-acquire")
+        read = cProfile.Profile()
+        read.enable()
+        reader.rl_acquire(cached)
+        read.disable()
+        if cached.version != workload.segment.version:
+            raise RuntimeError("profiled read-acquire applied no update")
+        reader.rl_release(cached)
+    return {"release": _hot_profile(release, call_limit=words),
+            "read_acquire": _hot_profile(read, call_limit=-(-words // RATIO))}
 
 
 def run_all() -> dict:
@@ -255,8 +279,7 @@ def run_all() -> dict:
     for size_mb in POINTS_MB:
         deadline = _Deadline(f"datasize-{size_mb}MB")
         data_bytes = size_mb << 20
-        release = _measure_release(data_bytes, legacy=False,
-                                   deadline=deadline)
+        release = _measure_release(data_bytes, deadline=deadline)
         xdr = _measure_xdr(data_bytes, deadline=deadline)
         diff_e2e = _modeled_e2e(release["release_s"],
                                 release["diff_wire_bytes"])
@@ -274,26 +297,14 @@ def run_all() -> dict:
             "modeled_speedup": xdr_e2e / diff_e2e,
         })
 
-    legacy_mb = max((mb for mb in POINTS_MB if mb <= LEGACY_MB),
-                    default=min(POINTS_MB))
-    deadline = _Deadline(f"datasize-legacy-{legacy_mb}MB")
-    legacy = _measure_release(legacy_mb << 20, legacy=True,
-                              deadline=deadline,
-                              rounds=max(2, ROUNDS - 1))
-    new_point = next(p for p in points if p["mb"] == legacy_mb)
-    legacy_baseline = {
-        "mb": legacy_mb,
-        **legacy,
-        "speedup": legacy["release_s"] / new_point["release_s"],
-    }
-
-    profile_mb = legacy_mb  # the 8 MB point unless POINTS_MB says otherwise
+    profile_mb = max((mb for mb in POINTS_MB if mb <= PROFILE_MB),
+                     default=min(POINTS_MB))
     deadline = _Deadline(f"datasize-profile-{profile_mb}MB")
-    profile = _profile_release(profile_mb << 20, deadline=deadline)
+    profile = _profile_update(profile_mb << 20, deadline=deadline)
 
     results = {
         "points": points,
-        "legacy_baseline": legacy_baseline,
+        "legacy_baseline": LEGACY_BASELINE,
         "profile_gate": profile,
         "config": {
             "points_mb": POINTS_MB,
@@ -322,14 +333,6 @@ def _results() -> dict:
     return _cache["results"]
 
 
-def test_release_beats_legacy_dataplane_2x():
-    """At 8 MB / 10% scattered writes the zero-copy data plane must
-    release >= 2x faster than the pre-change (legacy toggle) plane."""
-    results = _results()
-    baseline = results["legacy_baseline"]
-    assert baseline["speedup"] >= 2.0, baseline
-
-
 def test_copy_amplification_bounded():
     """Bytes materialized on the release path stay <= 3x the bytes
     actually shipped, at every size."""
@@ -349,17 +352,18 @@ def test_diff_beats_xdr_margin():
 
 def test_no_per_word_python_loop_in_profile():
     """No per-word Python loop may appear in the hot profile of an
-    MB-scale release (the zero-copy plane is columnar end to end)."""
+    MB-scale release, and no per-run loop in the hot profile of the
+    read-acquire applying it (the data plane is columnar end to end)."""
     results = _results()
-    gate = results["profile_gate"]
-    assert not gate["offenders"], gate["offenders"]
+    for end, gate in results["profile_gate"].items():
+        assert not gate["offenders"], (end, gate["offenders"])
 
 
 def test_results_file_written():
     _results()
     with open(RESULTS_PATH) as handle:
         doc = json.load(handle)
-    assert doc["points"] and doc["legacy_baseline"]["speedup"] > 0
+    assert doc["points"] and doc["profile_gate"]["read_acquire"]["top"]
 
 
 def main() -> None:
@@ -380,14 +384,14 @@ def main() -> None:
               f"{point['xdr_e2e_modeled_s'] * 1e3:7.1f}m "
               f"{point['modeled_speedup']:5.2f}x")
     baseline = results["legacy_baseline"]
-    print(f"legacy data plane @ {baseline['mb']}MB: "
+    print(f"pre-columnar data plane @ {baseline['mb']}MB (recorded at "
+          f"{baseline['recorded_at_commit']}, since deleted): "
           f"{baseline['release_s'] * 1e3:.1f} ms/release "
-          f"(amp {baseline['copy_amplification']:.2f}x) -> zero-copy wins "
-          f"{baseline['speedup']:.2f}x")
-    gate = results["profile_gate"]
-    print(f"profile gate: top-{gate['top_n']} clean"
-          if not gate["offenders"] else
-          f"profile gate: OFFENDERS {gate['offenders']}")
+          f"(amp {baseline['copy_amplification']:.2f}x)")
+    for end, gate in results["profile_gate"].items():
+        print(f"profile gate ({end}): top-{gate['top_n']} clean"
+              if not gate["offenders"] else
+              f"profile gate ({end}): OFFENDERS {gate['offenders']}")
     print(f"[results -> {os.path.relpath(RESULTS_PATH)}]")
 
 

@@ -18,6 +18,40 @@ See ``examples/`` for complete programs and ``DESIGN.md`` for the system
 inventory.
 """
 
+
+def _pin_malloc_policy() -> None:
+    """Fix glibc malloc's thresholds instead of letting them adapt.
+
+    The data plane allocates and frees MB-scale numpy temporaries in every
+    critical section.  Left to adapt, glibc sets its mmap/trim thresholds
+    from the first few frees and returns the top of the heap to the kernel
+    whenever it happens to be free, so the same section pays for ~1000
+    page faults per MB-scale diff in one process and none in the next
+    (measured: 90 vs 107 sections/s on a 1 MiB array, chosen by chance at
+    start-up).  Pinning the thresholds where the adaptation tops out
+    (32 MiB mmap, 2x that trim) in one arena makes every process behave
+    like the latter; larger buffers still go back to the kernel when
+    freed.  A ``MALLOC_*`` / ``GLIBC_TUNABLES`` setting in the environment
+    wins, and other allocators are left alone.
+    """
+    import ctypes
+    import os
+
+    if "GLIBC_TUNABLES" in os.environ:
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return  # not glibc
+    for env, param, value in (("MALLOC_ARENA_MAX", -8, 1),
+                              ("MALLOC_MMAP_THRESHOLD_", -3, 32 << 20),
+                              ("MALLOC_TRIM_THRESHOLD_", -1, 64 << 20)):
+        if env not in os.environ:
+            mallopt(param, value)
+
+
+_pin_malloc_policy()  # before numpy and any thread exist
+
 from repro import arch, coherence, types, util, wire
 from repro.client import ClientOptions, InterWeaveClient, Segment
 from repro.client.routing import Resolver, StaticResolver

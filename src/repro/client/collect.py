@@ -38,9 +38,8 @@ from repro.memory.mmu import AddressSpace
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.types import flat_layout
 from repro.types.layout import merge_run_arrays
-from repro.wire import (BlockDiff, DiffRun, SegmentDiff, TranslationContext,
-                        block_diff_from_columns, collect_range)
-from repro.wire.translate import collect_runs, collect_runs_columns
+from repro.wire import BlockDiff, SegmentDiff, TranslationContext
+from repro.wire.translate import collect_runs
 
 #: unchanged words between two changed runs that are spliced over
 SPLICE_MAX_GAP_WORDS = 2
@@ -251,23 +250,9 @@ def collect_write_diff(tctx: TranslationContext, heap: SegmentHeap,
                 # block-level no-diff: mostly modified, send it whole
                 prim_starts = np.array([0], np.int64)
                 prim_counts = np.array([layout.prim_count], np.int64)
-            columns = collect_runs_columns(tctx, layout, block.address,
-                                           prim_starts, prim_counts)
-            if columns is not None:
-                # columnar fast path: one gathered payload buffer, no
-                # per-run DiffRun objects (an MB-scale scattered write
-                # produces hundreds of thousands of runs)
-                block_diff = block_diff_from_columns(serial, columns)
-            else:
-                buffers = collect_runs(tctx, layout, block.address,
-                                       prim_starts, prim_counts)
-                block_diff = BlockDiff(serial=serial, runs=[
-                    DiffRun(start, count, buffer)
-                    for start, count, buffer in zip(
-                        prim_starts.tolist(), prim_counts.tolist(), buffers)
-                ])
+            diff.block_diffs.append(BlockDiff(serial, columns=collect_runs(
+                tctx, layout, block.address, prim_starts, prim_counts)))
             modified_units += int(prim_counts.sum())
-            diff.block_diffs.append(block_diff)
         timers.translate_seconds += time.perf_counter() - started
     else:
         # no-diff mode: transmit every pre-existing block in full
@@ -276,10 +261,8 @@ def collect_write_diff(tctx: TranslationContext, heap: SegmentHeap,
             if block.serial in created_serials:
                 continue
             layout = flat_layout(block.descriptor, arch, coalesce_layouts)
-            data = collect_range(tctx, layout, block.address, 0, layout.prim_count)
-            diff.block_diffs.append(BlockDiff(
-                serial=block.serial,
-                runs=[DiffRun(0, layout.prim_count, data)]))
+            diff.block_diffs.append(BlockDiff(block.serial, columns=collect_runs(
+                tctx, layout, block.address, [0], [layout.prim_count])))
             modified_units += layout.prim_count
         timers.translate_seconds += time.perf_counter() - started
 
@@ -287,10 +270,10 @@ def collect_write_diff(tctx: TranslationContext, heap: SegmentHeap,
     started = time.perf_counter()
     for block in created:
         layout = flat_layout(block.descriptor, arch, coalesce_layouts)
-        data = collect_range(tctx, layout, block.address, 0, layout.prim_count)
         diff.block_diffs.append(BlockDiff(
-            serial=block.serial, is_new=True, type_serial=block.type_serial,
-            name=block.name, runs=[DiffRun(0, layout.prim_count, data)]))
+            block.serial, is_new=True, type_serial=block.type_serial,
+            name=block.name, columns=collect_runs(
+                tctx, layout, block.address, [0], [layout.prim_count])))
     timers.translate_seconds += time.perf_counter() - started
 
     metrics.counter("client.collect.runs",
@@ -300,7 +283,7 @@ def collect_write_diff(tctx: TranslationContext, heap: SegmentHeap,
                         "collections that transmitted whole blocks").inc()
     metrics.counter("client.collect.diff_runs",
                     "RLE runs emitted by diff collection").inc(
-        sum(len(bd.runs) for bd in diff.block_diffs))
+        sum(bd.columns.run_count for bd in diff.block_diffs))
     metrics.counter("client.collect.rle_bytes",
                     "wire payload bytes emitted by diff collection").inc(
         diff.payload_bytes())

@@ -31,47 +31,37 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ServerError
-from repro.wire import BlockDiff, DiffRun, SegmentDiff, decode_segment_diff
+from repro.wire import (BlockDiff, RunColumns, SegmentDiff,
+                        count_bytes_copied, decode_segment_diff)
 
 
-def _covers(newer: DiffRun, older: DiffRun) -> bool:
-    return (newer.prim_start <= older.prim_start
-            and newer.prim_start + newer.prim_count
-            >= older.prim_start + older.prim_count)
+def _covered(old: RunColumns, new: RunColumns) -> np.ndarray:
+    """Mask of ``old`` runs fully covered by some single ``new`` run.
 
-
-def _surviving_runs(accumulated: List[DiffRun],
-                    incoming: List[DiffRun]) -> List[DiffRun]:
-    """Accumulated runs not fully covered by any single incoming run.
-
-    A run survives unless some newer run spans its whole range.  The
-    pairwise scan is O(n*m); for the large diffs relaxed coherence
-    produces, sort the incoming runs by start once and keep a running
-    maximum of their ends — among incoming runs starting at or before an
-    old run, one covers it iff that prefix's max end reaches the old
-    run's end.  searchsorted finds the prefix for all old runs at once.
+    Sort the new runs by start once and keep a running maximum of their
+    ends — among new runs starting at or before an old run, one covers
+    it iff that prefix's max end reaches the old run's end.  searchsorted
+    finds the prefix for all old runs at once.
     """
-    if not accumulated or not incoming:
-        return list(accumulated)
-    if len(accumulated) * len(incoming) <= 64:
-        # tiny diffs (the common single-counter case): the array setup
-        # costs more than the scan it replaces
-        return [run for run in accumulated
-                if not any(_covers(newer, run) for newer in incoming)]
-    starts = np.fromiter((run.prim_start for run in incoming),
-                         np.int64, len(incoming))
-    ends = starts + np.fromiter((run.prim_count for run in incoming),
-                                np.int64, len(incoming))
-    order = np.argsort(starts, kind="stable")
-    starts = starts[order]
-    prefix_max_end = np.maximum.accumulate(ends[order])
-    old_starts = np.fromiter((run.prim_start for run in accumulated),
-                             np.int64, len(accumulated))
-    old_ends = old_starts + np.fromiter((run.prim_count for run in accumulated),
-                                        np.int64, len(accumulated))
-    prefix = np.searchsorted(starts, old_starts, side="right") - 1
-    covered = (prefix >= 0) & (prefix_max_end[np.maximum(prefix, 0)] >= old_ends)
-    return [run for run, dead in zip(accumulated, covered.tolist()) if not dead]
+    if not new.run_count:
+        return np.zeros(old.run_count, bool)
+    order = np.argsort(new.starts, kind="stable")
+    starts = new.starts[order]
+    prefix_max_end = np.maximum.accumulate((new.starts + new.counts)[order])
+    prefix = np.searchsorted(starts, old.starts, side="right") - 1
+    return ((prefix >= 0)
+            & (prefix_max_end[np.maximum(prefix, 0)] >= old.starts + old.counts))
+
+
+def _merge_columns(old: RunColumns, new: RunColumns) -> RunColumns:
+    """``old``'s runs that ``new`` does not cover, then ``new``'s."""
+    keep = ~_covered(old, new)
+    payload = np.frombuffer(old.data, np.uint8)[np.repeat(keep, old.lens)]
+    data = b"".join((payload.data, new.data))
+    count_bytes_copied(len(data))
+    return RunColumns(np.concatenate((old.starts[keep], new.starts)),
+                      np.concatenate((old.counts[keep], new.counts)),
+                      np.concatenate((old.lens[keep], new.lens)), data)
 
 
 def _merge_block(accumulated: Optional[BlockDiff], incoming: BlockDiff) -> BlockDiff:
@@ -83,18 +73,12 @@ def _merge_block(accumulated: Optional[BlockDiff], incoming: BlockDiff) -> Block
         # BlockDiff; the caller falls back to rebuilding from subblocks
         raise ServerError(f"serial {incoming.serial} re-created within range")
     if accumulated is None or incoming.is_new:
-        # first sight, or re-creation after a free: take the newer record,
-        # keeping its columnar/view form — run sequences are never mutated
-        # in place, so sharing is safe and the single-step composition
-        # stays vectorized end to end
-        return BlockDiff(serial=incoming.serial, runs=incoming.runs,
-                         is_new=incoming.is_new, type_serial=incoming.type_serial,
-                         name=incoming.name, version=incoming.version,
-                         columns=incoming.columns)
-    surviving = _surviving_runs(accumulated.runs, incoming.runs)
+        # first sight, or re-creation after a free: the newer record stands
+        # (block diffs are never mutated in place, so sharing is safe)
+        return incoming
     return BlockDiff(
         serial=accumulated.serial,
-        runs=surviving + list(incoming.runs),
+        columns=_merge_columns(accumulated.columns, incoming.columns),
         is_new=accumulated.is_new,
         type_serial=accumulated.type_serial,
         name=accumulated.name,

@@ -28,20 +28,18 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.arch import Architecture
-from repro.errors import ServerError, WireFormatError
+from repro.errors import ServerError
 from repro.memory import AddressSpace, Heap, SegmentHeap
 from repro.types import TypeRegistry, flat_layout
 from repro.types.layout import merge_run_arrays
 from repro.wire import (
     BlockDiff,
-    DiffRun,
+    RunColumns,
     SegmentDiff,
     TranslationContext,
-    apply_range,
-    block_diff_from_columns,
     collect_range,
 )
-from repro.wire.translate import apply_runs, collect_runs, collect_runs_columns
+from repro.wire.translate import apply_runs, collect_runs
 
 #: The synthetic architecture server images are laid out in: big-endian and
 #: byte-packed, so fixed-size data is stored directly in wire format.
@@ -235,51 +233,22 @@ class ServerSegment:
             if created is not None:
                 created.append(serial)
         layout = flat_layout(block.info.descriptor, SERVER_ARCH)
-        if not apply_runs(self._tctx, layout, block.info.address,
-                          block_diff.runs, columns=block_diff.columns):
-            for run in block_diff.runs:
-                end = apply_range(self._tctx, layout, block.info.address,
-                                  run.prim_start, run.prim_count, run.data)
-                if end != len(run.data):
-                    raise WireFormatError(
-                        f"block {serial}: run data has {len(run.data) - end} "
-                        "trailing bytes")
-        self._stamp_subblocks(block, block_diff, new_version)
+        apply_runs(self._tctx, layout, block.info.address, block_diff.columns)
+        self._stamp_subblocks(block, block_diff.columns, new_version)
         block.version = new_version
         block.info.version = new_version
         self.version_list.touch(serial, block)
 
     @staticmethod
-    def _stamp_subblocks(block: ServerBlock, block_diff: BlockDiff,
+    def _stamp_subblocks(block: ServerBlock, columns: RunColumns,
                          new_version: int) -> None:
         """Mark every subblock a diff's runs touch as modified now.
 
         Interval-stabbing with a difference array, so a diff of thousands
-        of runs costs one pass instead of a slice assignment per run.  A
-        columnar diff supplies its start/count arrays directly; only the
-        per-run object path pays the ``fromiter`` walk.
+        of runs costs one pass instead of a slice assignment per run.
         """
-        cols = block_diff.columns
-        if cols is not None:
-            if not cols.run_count:
-                return
-            firsts = cols.starts // SUBBLOCK_UNITS
-            lasts = (cols.starts + cols.counts - 1) // SUBBLOCK_UNITS
-        else:
-            runs = block_diff.runs
-            if not runs:
-                return
-            if len(runs) <= 4:
-                for run in runs:
-                    first = run.prim_start // SUBBLOCK_UNITS
-                    last = (run.prim_start + run.prim_count - 1) // SUBBLOCK_UNITS
-                    block.subblock_versions[first:last + 1] = new_version
-                return
-            firsts = np.fromiter((r.prim_start // SUBBLOCK_UNITS for r in runs),
-                                 np.int64, len(runs))
-            lasts = np.fromiter(
-                ((r.prim_start + r.prim_count - 1) // SUBBLOCK_UNITS for r in runs),
-                np.int64, len(runs))
+        firsts = columns.starts // SUBBLOCK_UNITS
+        lasts = (columns.starts + columns.counts - 1) // SUBBLOCK_UNITS
         if firsts.size <= 4:
             for first, last in zip(firsts.tolist(), lasts.tolist()):
                 block.subblock_versions[first:last + 1] = new_version
@@ -342,24 +311,10 @@ class ServerSegment:
             starts, ends = merge_run_arrays(stale * SUBBLOCK_UNITS,
                                             (stale + 1) * SUBBLOCK_UNITS)
             ends = np.minimum(ends, block.prim_count)
-        counts = ends - starts
-        columns = collect_runs_columns(self._tctx, layout, block.info.address,
-                                       starts, counts)
-        if columns is not None:
-            return block_diff_from_columns(
-                block.serial, columns, is_new=is_new,
-                type_serial=block.info.type_serial if is_new else 0,
-                name=block.info.name if is_new else None,
-                version=block.version)
-        buffers = collect_runs(self._tctx, layout, block.info.address,
-                               starts, counts)
-        diff_runs = [
-            DiffRun(start, count, buffer)
-            for start, count, buffer in zip(starts.tolist(), counts.tolist(),
-                                            buffers)
-        ]
+        columns = collect_runs(self._tctx, layout, block.info.address,
+                               starts, ends - starts)
         return BlockDiff(
-            serial=block.serial, runs=diff_runs, is_new=is_new,
+            block.serial, columns=columns, is_new=is_new,
             type_serial=block.info.type_serial if is_new else 0,
             name=block.info.name if is_new else None,
             version=block.version)

@@ -6,11 +6,8 @@ from repro.wire.diff import (
     DiffRun,
     RunColumns,
     SegmentDiff,
-    block_diff_from_columns,
     decode_segment_diff,
     encode_segment_diff,
-    legacy_dataplane_enabled,
-    set_legacy_dataplane,
 )
 from repro.wire.mip import MIP, format_mip, parse_mip
 from repro.wire.translate import (
@@ -34,16 +31,13 @@ __all__ = [
     "Writer",
     "apply_block",
     "apply_range",
-    "block_diff_from_columns",
     "collect_block",
     "collect_range",
     "count_bytes_copied",
     "decode_segment_diff",
     "encode_segment_diff",
     "format_mip",
-    "legacy_dataplane_enabled",
     "messages",
     "parse_mip",
-    "set_legacy_dataplane",
     "wire_size_of_range",
 ]

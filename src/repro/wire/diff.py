@@ -15,32 +15,22 @@ optional symbolic name), freed blocks, and any type descriptors the
 receiver has not seen yet.
 
 Data-plane layout.  A 10%-scattered write over an MB-scale segment
-produces hundreds of thousands of small runs, so the codec keeps runs in
-*columnar* form end to end: a block diff body is ``run_count`` 12-byte
-header rows (``>u4`` prim_start, prim_count, data_len) followed by one
-concatenated data section.  Encoding is two buffer splices (one numpy
-header array, one payload buffer) and decoding is one ``np.frombuffer``
-plus two ``memoryview`` slices — no per-run Python loop and no per-run
-copy.  Decoded :class:`BlockDiff` objects expose ``.columns``
-(:class:`RunColumns`) for vectorized apply/stamp/re-encode; ``.runs``
-materializes :class:`DiffRun` objects lazily for code that wants the
-object view.  ``DiffRun.data`` may be ``bytes`` or a ``memoryview``
-aliasing the receive buffer; materialization happens only at mutation or
-retention boundaries (see :func:`decode_segment_diff`).
-
-The pre-columnar interleaved format (8-byte run header + per-run blob,
-nested scratch-Writer encode, per-run copying decode) is kept behind
-:func:`set_legacy_dataplane` as the measured baseline for
-``benchmarks/bench_datasize.py``.  Total body size is identical in both
-formats (12 bytes of framing per run either way), so size accounting and
-the paper's diff-length story are unaffected by the toggle.
+produces hundreds of thousands of small runs, so runs exist in exactly
+one form end to end — :class:`RunColumns` in memory, and on the wire a
+block diff body of ``run_count`` 12-byte header rows (``>u4`` prim_start,
+prim_count, data_len) followed by one concatenated data section.
+Encoding is two buffer splices (one numpy header array, one payload
+buffer) and decoding is one ``np.frombuffer`` plus two ``memoryview``
+slices — no per-run Python loop and no per-run copy.  The payload may be
+``bytes`` or a ``memoryview`` aliasing the receive buffer;
+materialization happens only at mutation or retention boundaries (see
+:func:`decode_segment_diff_from`).  :class:`DiffRun` is the per-run
+object view: accepted by the :class:`BlockDiff` constructor and handed
+out by its ``runs`` property for inspection, never used on a data path.
 """
 
 from __future__ import annotations
 
-import os
-import struct
-from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -51,31 +41,8 @@ from repro.obs.metrics import get_registry
 from repro.wire.codec import (Reader as _Reader, Writer as _Writer,
                               count_bytes_copied)
 
-_U32 = struct.Struct(">I")
-_RUN_HEADER = struct.Struct(">II")        # legacy interleaved header
-_RUN_HEADER3 = struct.Struct(">III")      # columnar header row
 _RUN_HEADER_BYTES = 12
 _U32_MAX = 0xFFFFFFFF
-
-# Baseline toggle: when enabled, encode/decode use the pre-columnar
-# interleaved format and copying decode so benchmarks can measure the
-# old data plane.  The two formats are not interoperable on the wire;
-# flip the mode per process (or per benchmark phase), not per peer.
-_LEGACY_DATAPLANE = os.environ.get(
-    "REPRO_WIRE_LEGACY_DATAPLANE", "") not in ("", "0")
-
-
-def set_legacy_dataplane(enabled: bool) -> bool:
-    """Select the legacy (pre-columnar) diff codec; returns the old mode."""
-    global _LEGACY_DATAPLANE
-    previous = _LEGACY_DATAPLANE
-    _LEGACY_DATAPLANE = bool(enabled)
-    return previous
-
-
-def legacy_dataplane_enabled() -> bool:
-    return _LEGACY_DATAPLANE
-
 
 RunData = Union[bytes, memoryview]
 
@@ -92,26 +59,20 @@ class DiffRun:
 class RunColumns:
     """Columnar storage for a block diff's runs.
 
-    ``starts``/``counts``/``lens`` are parallel ``int64`` arrays, ``data``
-    is the single concatenated payload buffer (``bytes`` or a
-    ``memoryview`` over the receive buffer), and ``bounds`` is the
-    exclusive prefix sum of ``lens`` (``bounds[i]:bounds[i+1]`` slices run
-    *i*'s payload out of ``data``).
+    ``starts``/``counts``/``lens`` are parallel ``int64`` arrays and
+    ``data`` is the single concatenated payload buffer (``bytes`` or a
+    ``memoryview`` over the receive buffer), exactly ``lens.sum()`` bytes
+    long: run *i*'s payload is ``data[bounds[i]:bounds[i+1]]``.
     """
 
-    __slots__ = ("starts", "counts", "lens", "bounds", "data")
+    __slots__ = ("starts", "counts", "lens", "data")
 
     def __init__(self, starts: np.ndarray, counts: np.ndarray,
-                 lens: np.ndarray, data: RunData,
-                 bounds: Optional[np.ndarray] = None):
+                 lens: np.ndarray, data: RunData):
         self.starts = starts
         self.counts = counts
         self.lens = lens
         self.data = data
-        if bounds is None:
-            bounds = np.zeros(len(lens) + 1, dtype=np.int64)
-            np.cumsum(lens, out=bounds[1:])
-        self.bounds = bounds
 
     @property
     def run_count(self) -> int:
@@ -119,10 +80,15 @@ class RunColumns:
 
     @property
     def data_bytes(self) -> int:
-        return int(self.bounds[-1])
+        return len(self.data)
+
+    @property
+    def bounds(self) -> np.ndarray:
+        """Exclusive prefix sum of ``lens`` (one entry more than runs)."""
+        return np.concatenate(([0], np.cumsum(self.lens)))
 
     def covered_units(self) -> int:
-        return int(self.counts.sum()) if self.counts.size else 0
+        return int(self.counts.sum())
 
     def materialize(self) -> None:
         """Replace a payload view with an owned ``bytes`` copy."""
@@ -130,67 +96,24 @@ class RunColumns:
             self.data = bytes(self.data)
             count_bytes_copied(len(self.data))
 
-
-class _LazyRuns(_SequenceABC):
-    """List-like view of :class:`RunColumns`, materialized on first access.
-
-    The server's release path only touches the columns (vectorized apply,
-    stamp and re-encode), so the per-run ``DiffRun`` objects — hundreds of
-    thousands for an MB-scale scattered write — are never built there.
-    Compares equal to any sequence with the same run values, which keeps
-    dataclass equality on :class:`BlockDiff` intact.
-    """
-
-    __slots__ = ("columns", "_list")
-
-    def __init__(self, columns: RunColumns):
-        self.columns = columns
-        self._list = None
-
-    def _materialize(self) -> List[DiffRun]:
-        if self._list is None:
-            cols = self.columns
-            data = cols.data
-            bounds = cols.bounds.tolist()
-            self._list = [
-                DiffRun(start, count, data[bounds[i]:bounds[i + 1]])
-                for i, (start, count) in enumerate(
-                    zip(cols.starts.tolist(), cols.counts.tolist()))
-            ]
-            if isinstance(data, (bytes, bytearray)):
-                # slicing bytes copies; slicing a memoryview does not
-                count_bytes_copied(cols.data_bytes)
-        return self._list
-
-    def __len__(self) -> int:
-        if self._list is not None:
-            return len(self._list)
-        return self.columns.run_count
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, _LazyRuns):
-            other = other._materialize()
-        if not isinstance(other, (list, tuple)):
-            try:
-                other = list(other)
-            except TypeError:
-                return NotImplemented
-        return self._materialize() == list(other)
-
-    def __repr__(self) -> str:
-        return repr(self._materialize())
+        if not isinstance(other, RunColumns):
+            return NotImplemented
+        return (np.array_equal(self.starts, other.starts)
+                and np.array_equal(self.counts, other.counts)
+                and np.array_equal(self.lens, other.lens)
+                and self.data == other.data)
 
 
-@dataclass
+def _columns_from_runs(runs: Sequence[DiffRun]) -> RunColumns:
+    count = len(runs)
+    return RunColumns(
+        np.fromiter((run.prim_start for run in runs), np.int64, count),
+        np.fromiter((run.prim_count for run in runs), np.int64, count),
+        np.fromiter((len(run.data) for run in runs), np.int64, count),
+        b"".join(run.data for run in runs))
+
+
 class BlockDiff:
     """All changes to one block.
 
@@ -200,42 +123,56 @@ class BlockDiff:
     modified (server -> client direction; informs locality layout).
     A block diff with ``freed`` set tombstones a deallocated block.
 
-    ``columns`` (when present) is the authoritative columnar form of
-    ``runs``; code that *replaces* ``runs`` must construct a fresh
-    :class:`BlockDiff` (or clear ``columns``) so the two never diverge.
+    ``columns`` is the block's runs, always present (empty for tombstones
+    and skeletons).  ``runs=[DiffRun(...)]`` is a constructor convenience
+    converted to columns once, here; the ``runs`` property builds the
+    object view back on demand, for inspection.
     """
 
-    serial: int
-    runs: Sequence[DiffRun] = field(default_factory=list)
-    is_new: bool = False
-    freed: bool = False
-    type_serial: int = 0
-    name: Optional[str] = None
-    version: int = 0
-    columns: Optional[RunColumns] = field(
-        default=None, compare=False, repr=False)
+    __slots__ = ("serial", "columns", "is_new", "freed", "type_serial",
+                 "name", "version")
+
+    def __init__(self, serial: int, runs: Sequence[DiffRun] = (),
+                 is_new: bool = False, freed: bool = False,
+                 type_serial: int = 0, name: Optional[str] = None,
+                 version: int = 0, columns: Optional[RunColumns] = None):
+        self.serial = serial
+        # (a RunColumns, even an empty one, is truthy)
+        self.columns = columns or _columns_from_runs(runs)
+        self.is_new = is_new
+        self.freed = freed
+        self.type_serial = type_serial
+        self.name = name
+        self.version = version
+
+    @property
+    def runs(self) -> List[DiffRun]:
+        cols = self.columns
+        data = cols.data
+        bounds = cols.bounds.tolist()
+        return [DiffRun(start, count, data[bounds[i]:bounds[i + 1]])
+                for i, (start, count) in enumerate(
+                    zip(cols.starts.tolist(), cols.counts.tolist()))]
 
     @property
     def data_bytes(self) -> int:
         """Payload bytes (the paper's per-block 'diff length')."""
-        if self.columns is not None:
-            return self.columns.data_bytes
-        return sum(len(run.data) for run in self.runs)
+        return self.columns.data_bytes
 
     def covered_units(self) -> int:
-        if self.columns is not None:
-            return self.columns.covered_units()
-        return sum(run.prim_count for run in self.runs)
+        return self.columns.covered_units()
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BlockDiff):
+            return NotImplemented
+        return all(getattr(self, slot) == getattr(other, slot)
+                   for slot in self.__slots__)
 
-def block_diff_from_columns(serial: int, columns: RunColumns, *,
-                            is_new: bool = False, freed: bool = False,
-                            type_serial: int = 0, name: Optional[str] = None,
-                            version: int = 0) -> BlockDiff:
-    """Build a BlockDiff whose runs stay columnar until someone asks."""
-    return BlockDiff(serial=serial, runs=_LazyRuns(columns), is_new=is_new,
-                     freed=freed, type_serial=type_serial, name=name,
-                     version=version, columns=columns)
+    def __repr__(self) -> str:
+        return (f"BlockDiff(serial={self.serial}, runs={self.runs!r}, "
+                f"is_new={self.is_new}, freed={self.freed}, "
+                f"type_serial={self.type_serial}, name={self.name!r}, "
+                f"version={self.version})")
 
 
 @dataclass
@@ -265,18 +202,7 @@ class SegmentDiff:
         ``bytes`` never need this — the views pin the buffer.
         """
         for block_diff in self.block_diffs:
-            if block_diff.columns is not None:
-                block_diff.columns.materialize()
-                runs = block_diff.runs
-                if isinstance(runs, _LazyRuns):
-                    runs._list = None  # re-slice from the owned copy
-                continue
-            copied = 0
-            for run in block_diff.runs:
-                if not isinstance(run.data, bytes):
-                    run.data = bytes(run.data)
-                    copied += len(run.data)
-            count_bytes_copied(copied)
+            block_diff.columns.materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -288,46 +214,18 @@ _FLAG_FREED = 0x02
 _FLAG_NAMED = 0x04
 
 
-def _encode_runs_columnar(out: _Writer, cols: RunColumns) -> None:
-    n = cols.run_count
-    if n:
-        if (int(cols.starts.max()) > _U32_MAX
-                or int(cols.counts.max()) > _U32_MAX
-                or int(cols.lens.max()) > _U32_MAX):
+def _encode_runs(out: _Writer, cols: RunColumns) -> None:
+    if cols.run_count:
+        rows = np.empty((cols.run_count, 3), np.int64)
+        rows[:, 0] = cols.starts
+        rows[:, 1] = cols.counts
+        rows[:, 2] = cols.lens
+        # one range check: viewed unsigned, a negative field is huge too
+        if int(rows.view(np.uint64).max()) > _U32_MAX:
             raise WireFormatError("diff run field exceeds u32 range")
-        headers = np.empty((n, 3), dtype=">u4")
-        headers[:, 0] = cols.starts
-        headers[:, 1] = cols.counts
-        headers[:, 2] = cols.lens
-        out.raw(headers.data.cast("B"))
+        out.raw(rows.astype(">u4").data.cast("B"))
     out.raw(cols.data)
     count_bytes_copied(cols.data_bytes)
-
-
-def _encode_runs_rows(out: _Writer, runs: Sequence[DiffRun]) -> None:
-    pack = _RUN_HEADER3.pack
-    for run in runs:
-        out.raw(pack(run.prim_start, run.prim_count, len(run.data)))
-    total = 0
-    for run in runs:
-        out.raw(run.data)
-        total += len(run.data)
-    count_bytes_copied(total)
-
-
-def _encode_runs_legacy(out: _Writer, runs: Sequence[DiffRun]) -> None:
-    # the pre-columnar body: interleaved headers/blobs built in a scratch
-    # Writer and re-copied into the output (kept verbatim as the
-    # bench_datasize baseline)
-    body = _Writer()
-    copied = 0
-    for run in runs:
-        body.raw(_RUN_HEADER.pack(run.prim_start, run.prim_count))
-        body.blob(run.data)
-        copied += len(run.data)
-    encoded_body = body.getvalue()
-    out.raw(encoded_body)
-    count_bytes_copied(copied + 2 * len(encoded_body))
 
 
 def encode_block_diff(diff: BlockDiff, writer: Optional[_Writer] = None) -> bytes:
@@ -346,42 +244,16 @@ def encode_block_diff(diff: BlockDiff, writer: Optional[_Writer] = None) -> byte
     # the length word is reserved up front and backpatched once the body
     # has been encoded in place (no scratch buffer, no re-copy)
     body_length_at = out.reserve_u32()
-    out.u32(len(diff.runs))
+    out.u32(diff.columns.run_count)
     body_start = out.tell()
-    if _LEGACY_DATAPLANE:
-        _encode_runs_legacy(out, diff.runs)
-    elif diff.columns is not None:
-        _encode_runs_columnar(out, diff.columns)
-    else:
-        _encode_runs_rows(out, diff.runs)
+    _encode_runs(out, diff.columns)
     out.patch_u32(body_length_at, out.tell() - body_start)
     return out.getvalue() if writer is None else b""
 
 
-def _decode_runs_legacy(reader: _Reader, run_count: int,
-                        body_end: int) -> List[DiffRun]:
-    """The pre-columnar copying decode (bench_datasize baseline)."""
-    runs: List[DiffRun] = []
-    copied = 0
-    for _ in range(run_count):
-        try:
-            prim_start, prim_count = _RUN_HEADER.unpack_from(
-                reader.data, reader.offset)
-        except struct.error:
-            raise WireFormatError("diff buffer truncated in run header") from None
-        reader.offset += _RUN_HEADER.size
-        data = reader.blob()
-        copied += len(data)
-        runs.append(DiffRun(prim_start, prim_count, data))
-    if reader.offset != body_end:
-        raise WireFormatError("block diff body length mismatch")
-    count_bytes_copied(copied)
-    return runs
-
-
-def _decode_runs_columnar(reader: _Reader, run_count: int,
-                          body_length: int) -> RunColumns:
-    """Decode the columnar body: header rows, then one data section.
+def _decode_runs(reader: _Reader, run_count: int,
+                 body_length: int) -> RunColumns:
+    """Decode a block diff body: header rows, then one data section.
 
     Run data sizes are not individually delimited in the paper's format;
     the per-run byte length in the header row lets the server store and
@@ -391,21 +263,13 @@ def _decode_runs_columnar(reader: _Reader, run_count: int,
     header_bytes = run_count * _RUN_HEADER_BYTES
     if body_length < header_bytes:
         raise WireFormatError("block diff body shorter than run headers")
-    if run_count == 0:
-        if body_length:
-            raise WireFormatError("block diff body length mismatch")
-        empty = np.empty(0, dtype=np.int64)
-        return RunColumns(empty, empty, empty, b"",
-                          np.zeros(1, dtype=np.int64))
     headers = np.frombuffer(reader.raw_view(header_bytes),
                             dtype=">u4").reshape(run_count, 3).astype(np.int64)
     data = reader.raw_view(body_length - header_bytes)
     lens = headers[:, 2]
-    bounds = np.zeros(run_count + 1, dtype=np.int64)
-    np.cumsum(lens, out=bounds[1:])
-    if int(bounds[-1]) != len(data):
+    if int(lens.sum()) != len(data):
         raise WireFormatError("block diff body length mismatch")
-    return RunColumns(headers[:, 0], headers[:, 1], lens, data, bounds)
+    return RunColumns(headers[:, 0], headers[:, 1], lens, data)
 
 
 def decode_block_diff(reader: _Reader) -> BlockDiff:
@@ -416,22 +280,14 @@ def decode_block_diff(reader: _Reader) -> BlockDiff:
     name = reader.text() if flags & _FLAG_NAMED else None
     body_length = reader.u32()
     run_count = reader.u32()
-    if _LEGACY_DATAPLANE:
-        runs: Sequence[DiffRun] = _decode_runs_legacy(
-            reader, run_count, reader.offset + body_length)
-        columns = None
-    else:
-        columns = _decode_runs_columnar(reader, run_count, body_length)
-        runs = _LazyRuns(columns)
     return BlockDiff(
         serial=serial,
-        runs=runs,
         is_new=bool(flags & _FLAG_NEW),
         freed=bool(flags & _FLAG_FREED),
         type_serial=type_serial,
         name=name,
         version=version,
-        columns=columns,
+        columns=_decode_runs(reader, run_count, body_length),
     )
 
 
@@ -459,7 +315,7 @@ def encode_segment_diff_into(out: _Writer, diff: SegmentDiff) -> int:
     metrics.counter("wire.diff.encoded").inc()
     metrics.counter("wire.diff.encoded_bytes").inc(written)
     metrics.counter("wire.diff.runs_encoded").inc(
-        sum(len(bd.runs) for bd in diff.block_diffs))
+        sum(bd.columns.run_count for bd in diff.block_diffs))
     return written
 
 

@@ -105,8 +105,14 @@ def _byteswapped(view: np.ndarray, unit_size: int) -> np.ndarray:
 def collect_range(ctx: TranslationContext, layout: FlatLayout, base: int,
                   prim_start: int, prim_count: int) -> bytes:
     """Translate units [prim_start, prim_start+prim_count) to wire bytes."""
+    return b"".join(_collect_parts(ctx, layout, base, prim_start, prim_count))
+
+
+def _collect_parts(ctx, layout, base, prim_start, prim_count) -> List[bytes]:
+    """collect_range's wire bytes as the pieces translation produced, so a
+    caller concatenating several ranges pays for one join, not two."""
     if prim_count <= 0:
-        return b""
+        return []
     prim_end = prim_start + prim_count
     if prim_end > layout.prim_count:
         raise WireFormatError(
@@ -119,7 +125,7 @@ def collect_range(ctx: TranslationContext, layout: FlatLayout, base: int,
     return _collect_per_unit(ctx, layout, base, prim_start, prim_end)
 
 
-def _collect_dense(ctx, layout, base, prim_start, prim_end) -> bytes:
+def _collect_dense(ctx, layout, base, prim_start, prim_end) -> List[bytes]:
     little = ctx.arch.endian == "little"
     parts: List[bytes] = []
     for run in layout.runs:
@@ -133,10 +139,10 @@ def _collect_dense(ctx, layout, base, prim_start, prim_end) -> bytes:
             parts.append(_byteswapped(np.frombuffer(raw, np.uint8), run.unit_size).tobytes())
         else:
             parts.append(raw)
-    return b"".join(parts)
+    return parts
 
 
-def _collect_strided(ctx, layout, base, prim_start, prim_end) -> bytes:
+def _collect_strided(ctx, layout, base, prim_start, prim_end) -> List[bytes]:
     inst_prims = layout.instance_prims
     first = prim_start // inst_prims
     full_lo = first + (1 if prim_start % inst_prims else 0)
@@ -145,9 +151,9 @@ def _collect_strided(ctx, layout, base, prim_start, prim_end) -> bytes:
     # partial head instance
     if prim_start % inst_prims:
         head_end = min(prim_end, (first + 1) * inst_prims)
-        parts.append(_collect_per_unit(ctx, layout, base, prim_start, head_end))
+        parts += _collect_per_unit(ctx, layout, base, prim_start, head_end)
         if head_end == prim_end:
-            return parts[0]
+            return parts
     # full middle instances, vectorized
     if full_lo < full_hi:
         count = full_hi - full_lo
@@ -168,11 +174,11 @@ def _collect_strided(ctx, layout, base, prim_start, prim_end) -> bytes:
     # partial tail instance
     tail_start = max(prim_start, full_hi * inst_prims)
     if tail_start < prim_end and prim_end % inst_prims:
-        parts.append(_collect_per_unit(ctx, layout, base, tail_start, prim_end))
-    return b"".join(parts)
+        parts += _collect_per_unit(ctx, layout, base, tail_start, prim_end)
+    return parts
 
 
-def _collect_per_unit(ctx, layout, base, prim_start, prim_end) -> bytes:
+def _collect_per_unit(ctx, layout, base, prim_start, prim_end) -> List[bytes]:
     little = ctx.arch.endian == "little"
     memory = ctx.memory
     parts: List[bytes] = []
@@ -198,7 +204,7 @@ def _collect_per_unit(ctx, layout, base, prim_start, prim_end) -> bytes:
         else:
             raw = memory.load(address, run.unit_size)
             parts.append(raw[::-1] if little and run.unit_size > 1 else raw)
-    return b"".join(parts)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +380,18 @@ def apply_block(ctx: TranslationContext, layout: FlatLayout, base: int,
 # A fine-grained diff can carry tens of thousands of small runs (Figure 5's
 # ratio-4 case: every 4th word changed, gaps too wide to splice).  Paying a
 # Python call per run would swamp the real translation cost, so for the
-# common layout — one dense fixed-size run, i.e. flat arrays — whole run
-# *lists* are translated with single numpy gathers/scatters.
+# common layout — one dense fixed-size run, i.e. flat arrays — a whole
+# diff's runs are translated with single numpy gathers/scatters.  Every
+# other layout, and a diff of a few runs (where contiguous slices beat
+# building index arrays), loops over collect_range/apply_range.
 
-def _single_dense_run(layout: FlatLayout):
-    if layout.has_variable or len(layout.runs) != 1:
+#: run count up to which the per-run slice path beats one gather/scatter
+_PER_RUN_MAX = 4
+
+
+def _gather_run(layout: FlatLayout, run_count: int):
+    """The layout's single dense run when one gather/scatter pays off."""
+    if layout.has_variable or len(layout.runs) != 1 or run_count <= _PER_RUN_MAX:
         return None
     run = layout.runs[0]
     return run if run.repeat == 1 else None
@@ -390,106 +403,72 @@ def _gather_indices(run, starts: np.ndarray, counts: np.ndarray):
     byte_starts = run.local_start + (starts - run.prim_start) * unit
     byte_lens = counts * unit
     total = int(byte_lens.sum())
-    bounds = np.concatenate(([0], np.cumsum(byte_lens)))
-    indices = np.repeat(byte_starts - bounds[:-1], byte_lens) + np.arange(total)
-    return indices, byte_lens, bounds
+    offsets = np.cumsum(byte_lens) - byte_lens  # each run's payload offset
+    indices = np.repeat(byte_starts - offsets, byte_lens) + np.arange(total)
+    return indices, byte_lens
 
 
 def collect_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
-                 starts, counts) -> List[bytes]:
-    """Translate many unit runs at once; returns one wire buffer per run.
+                 starts, counts) -> RunColumns:
+    """Translate a block's unit runs to wire format, as one RunColumns.
 
     ``starts``/``counts`` are parallel sequences (arrays or lists) of
-    primitive offsets and unit counts.  All runs are gathered in one numpy
-    pass and sliced apart, so building a 16k-run diff costs a few array
-    operations rather than a Python call per run.
+    primitive offsets and unit counts; the result's ``data`` is one wire
+    buffer holding every run's payload back to back.
     """
     starts = np.asarray(starts, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
-    run = _single_dense_run(layout)
-    if run is None or starts.size <= 4:
-        # few runs: the contiguous-slice path beats building index arrays
-        return [collect_range(ctx, layout, base, int(start), int(count))
-                for start, count in zip(starts.tolist(), counts.tolist())]
-    image = np.frombuffer(ctx.memory.load(base, layout.local_size), np.uint8)
-    indices, byte_lens, bounds = _gather_indices(run, starts, counts)
-    data = image[indices]
-    if ctx.arch.endian == "little" and run.unit_size > 1:
-        data = np.ascontiguousarray(
-            data.reshape(-1, run.unit_size)[:, ::-1]).reshape(-1)
-    buffer = data.tobytes()
-    count_bytes_copied(len(buffer))  # slicing apart re-copies the gather
-    return [buffer[int(lo):int(hi)] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def collect_runs_columns(ctx: TranslationContext, layout: FlatLayout,
-                         base: int, starts, counts) -> Optional[RunColumns]:
-    """Columnar variant of :func:`collect_runs`: one gather, one buffer.
-
-    Returns a :class:`RunColumns` whose ``data`` is the single gathered
-    wire buffer (never sliced apart), or None when the layout has no
-    batched path / the run count is too small to be worth it — callers
-    fall back to the per-run list path.
-    """
-    run = _single_dense_run(layout)
+    run = _gather_run(layout, starts.size)
     if run is None:
-        return None
-    starts = np.asarray(starts, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    if starts.size <= 4:
-        return None
+        parts: List[bytes] = []
+        lens = []
+        for start, count in zip(starts.tolist(), counts.tolist()):
+            run_parts = _collect_parts(ctx, layout, base, start, count)
+            lens.append(sum(map(len, run_parts)))
+            parts += run_parts
+        return RunColumns(starts, counts, np.array(lens, np.int64),
+                          b"".join(parts))
     image = np.frombuffer(ctx.memory.load(base, layout.local_size), np.uint8)
-    indices, byte_lens, bounds = _gather_indices(run, starts, counts)
+    indices, byte_lens = _gather_indices(run, starts, counts)
     data = image[indices]
-    if ctx.arch.endian == "little" and run.unit_size > 1:
-        data = np.ascontiguousarray(
-            data.reshape(-1, run.unit_size)[:, ::-1]).reshape(-1)
-    return RunColumns(starts, counts, byte_lens, data.tobytes(), bounds)
+    if ctx.arch.endian == "little":
+        data = _byteswapped(data, run.unit_size)
+    return RunColumns(starts, counts, byte_lens, data.tobytes())
 
 
 def apply_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
-               runs, columns: Optional[RunColumns] = None) -> bool:
-    """Apply many (prim_start, prim_count, data) runs in one scatter.
+               columns: RunColumns) -> None:
+    """Apply a block diff's runs to local memory.
 
-    Returns False when the layout has no batched path (caller falls back
-    to per-run :func:`apply_range`).  Runs must be in-bounds and their
-    data exactly sized — the same validation apply_range performs.
-
-    When ``columns`` is given (a decoded diff's :class:`RunColumns`),
-    the scatter reads straight from the columnar payload buffer — which
-    may be a memoryview over the receive buffer — with no join and no
-    per-run attribute walk.
+    Runs must be in-bounds and their data exactly sized, else
+    WireFormatError.  The payload is read straight out of
+    ``columns.data`` — which may be a memoryview over the receive
+    buffer — with no join and no per-run objects.
     """
-    run = _single_dense_run(layout)
+    starts, counts = columns.starts, columns.counts
+    run = _gather_run(layout, columns.run_count)
     if run is None:
-        return False
-    if columns is not None:
-        if columns.run_count <= 4:
-            return False  # few runs: per-run apply_range is cheaper
-        starts = columns.starts
-        counts = columns.counts
-        payload = np.frombuffer(columns.data, np.uint8)
-    else:
-        if len(runs) <= 4:
-            return False
-        starts = np.fromiter((r.prim_start for r in runs), np.int64, len(runs))
-        counts = np.fromiter((r.prim_count for r in runs), np.int64, len(runs))
-        joined = b"".join(r.data for r in runs)
-        count_bytes_copied(len(joined))
-        payload = np.frombuffer(joined, np.uint8)
+        payload = memoryview(columns.data)
+        bounds = columns.bounds.tolist()
+        for index, (start, count) in enumerate(
+                zip(starts.tolist(), counts.tolist())):
+            data = payload[bounds[index]:bounds[index + 1]]
+            end = apply_range(ctx, layout, base, start, count, data)
+            if end != len(data):
+                raise WireFormatError(
+                    f"run {index}: {len(data) - end} trailing bytes")
+        return
     if int(starts.min()) < 0 or int((starts + counts).max()) > layout.prim_count:
         raise WireFormatError("diff run exceeds block bounds")
+    payload = np.frombuffer(columns.data, np.uint8)
     expected = int(counts.sum()) * run.unit_size
     if len(payload) != expected:
         raise WireFormatError(
             f"diff runs carry {len(payload)} bytes, expected {expected}")
-    data = payload
-    if ctx.arch.endian == "little" and run.unit_size > 1:
-        data = np.ascontiguousarray(
-            data.reshape(-1, run.unit_size)[:, ::-1]).reshape(-1)
+    if ctx.arch.endian == "little":
+        payload = _byteswapped(payload, run.unit_size)
     image = np.frombuffer(bytearray(ctx.memory.load(base, layout.local_size)),
                           np.uint8)
-    indices, _, _ = _gather_indices(run, starts, counts)
-    image[indices] = data
+    indices, _ = _gather_indices(run, starts, counts)
+    image[indices] = payload
     ctx.memory.store(base, image.tobytes())
-    return True

@@ -17,7 +17,7 @@ from repro.client.collect import (
 from repro.memory import AccessorContext, AddressSpace, Heap, SegmentHeap, make_accessor
 from repro.types import INT, ArrayDescriptor, flat_layout
 from repro.types.layout import merge_run_arrays
-from repro.wire import TranslationContext
+from repro.wire import BlockDiff, DiffRun, TranslationContext, apply_range
 from repro.wire.translate import apply_runs, collect_range, collect_runs
 
 
@@ -142,23 +142,34 @@ class TestMergeRunArrays:
 
 
 class TestBatchedTranslation:
-    def test_collect_runs_matches_per_run(self):
+    """collect_runs/apply_runs pick gather/scatter or the per-run loop
+    themselves; either way they must equal per-run collect_range /
+    apply_range (the reference)."""
+
+    @pytest.mark.parametrize("starts,counts", [
+        ([0, 10, 500, 998], [5, 1, 100, 2]),            # per-run side
+        ([0, 10, 500, 600, 998], [5, 1, 100, 7, 2]),    # gather side
+        ([7], [1]),
+        ([], []),
+    ])
+    def test_collect_runs_matches_per_run(self, starts, counts):
         memory, seg, actx = make_env()
         block = seg.allocate(ArrayDescriptor(INT, 1000), 1)
         acc = make_accessor(actx, block.descriptor, block.address)
         acc.write_values(list(range(1000)))
         tctx = TranslationContext(memory, X86_32)
         layout = flat_layout(block.descriptor, X86_32)
-        starts = [0, 10, 500, 998]
-        counts = [5, 1, 100, 2]
         batched = collect_runs(tctx, layout, block.address, starts, counts)
-        individual = [collect_range(tctx, layout, block.address, s, c)
+        individual = [DiffRun(s, c, collect_range(tctx, layout, block.address, s, c))
                       for s, c in zip(starts, counts)]
-        assert batched == individual
+        assert BlockDiff(1, columns=batched).runs == individual
+        assert batched == BlockDiff(1, runs=individual).columns
 
-    def test_apply_runs_roundtrip(self):
-        from repro.wire.diff import DiffRun
-
+    @pytest.mark.parametrize("starts,counts", [
+        ([3, 100, 200, 300, 700], [4, 2, 2, 2, 50]),    # scatter side
+        ([3, 100, 700], [4, 2, 50]),                    # per-run side
+    ])
+    def test_apply_runs_roundtrip(self, starts, counts):
         memory, seg, actx = make_env()
         src = seg.allocate(ArrayDescriptor(INT, 1000), 1)
         dst = seg.allocate(ArrayDescriptor(INT, 1000), 1)
@@ -168,42 +179,58 @@ class TestBatchedTranslation:
         acc_dst.write_values([0] * 1000)
         tctx = TranslationContext(memory, X86_32)
         layout = flat_layout(src.descriptor, X86_32)
-        starts = [3, 100, 200, 300, 700]
-        counts = [4, 2, 2, 2, 50]
-        buffers = collect_runs(tctx, layout, src.address, starts, counts)
-        runs = [DiffRun(s, c, b) for s, c, b in zip(starts, counts, buffers)]
-        assert apply_runs(tctx, layout, dst.address, runs)
+        columns = collect_runs(tctx, layout, src.address, starts, counts)
+        assert apply_runs(tctx, layout, dst.address, columns) is None
         values = acc_dst.read_values()
         assert list(values[3:7]) == [3, 4, 5, 6]
         assert list(values[100:102]) == [100, 101]
         assert list(values[700:750]) == list(range(700, 750))
         assert values[0] == 0 and values[7] == 0
 
-    def test_apply_runs_rejects_bad_payload(self):
+    @pytest.mark.parametrize("filler_runs", [5, 1])  # scatter / per-run side
+    def test_apply_runs_rejects_bad_payload(self, filler_runs):
         from repro.errors import WireFormatError
-        from repro.wire.diff import DiffRun
 
         memory, seg, actx = make_env()
         block = seg.allocate(ArrayDescriptor(INT, 10), 1)
         tctx = TranslationContext(memory, X86_32)
         layout = flat_layout(block.descriptor, X86_32)
-        filler = [DiffRun(k, 1, b"\x00" * 4) for k in range(2, 7)]
-        with pytest.raises(WireFormatError):
-            apply_runs(tctx, layout, block.address,
-                       [DiffRun(0, 2, b"\x00" * 7)] + filler)  # 7 != 8
-        with pytest.raises(WireFormatError):
-            apply_runs(tctx, layout, block.address,
-                       [DiffRun(8, 5, b"\x00" * 20)] + filler)  # beyond end
+        filler = [DiffRun(k, 1, b"\x00" * 4) for k in range(2, 2 + filler_runs)]
+        for bad in (DiffRun(0, 2, b"\x00" * 7),      # 7 != 8
+                    DiffRun(0, 2, b"\x00" * 9),      # trailing byte
+                    DiffRun(8, 5, b"\x00" * 20)):    # beyond end
+            with pytest.raises(WireFormatError):
+                apply_runs(tctx, layout, block.address,
+                           BlockDiff(1, runs=[bad] + filler).columns)
 
-    def test_apply_runs_declines_complex_layouts(self):
-        from repro.types import DOUBLE, Field, RecordDescriptor
+    @pytest.mark.parametrize("run_count", [2, 9])  # either side of the choice
+    def test_apply_runs_applies_complex_layouts(self, run_count):
+        """Layouts with no scatter path (records, strings) are applied by
+        apply_runs itself, equal to per-run apply_range."""
+        from repro.types import DOUBLE, Field, RecordDescriptor, StringDescriptor
 
         memory, seg, actx = make_env()
-        rec = RecordDescriptor("r", [Field("i", INT), Field("d", DOUBLE)])
-        block = seg.allocate(ArrayDescriptor(rec, 4), 1)
+        rec = RecordDescriptor("r", [Field("i", INT), Field("d", DOUBLE),
+                                     Field("s", StringDescriptor(8))])
+        src = seg.allocate(ArrayDescriptor(rec, 12), 1)
+        batched = seg.allocate(ArrayDescriptor(rec, 12), 1)
+        per_run = seg.allocate(ArrayDescriptor(rec, 12), 1)
+        records = make_accessor(actx, src.descriptor, src.address)
+        for k in range(12):
+            records[k].i, records[k].d, records[k].s = k + 1, k / 2, f"s{k}"
         tctx = TranslationContext(memory, X86_32)
-        layout = flat_layout(block.descriptor, X86_32)
-        assert apply_runs(tctx, layout, block.address, []) is False
+        layout = flat_layout(src.descriptor, X86_32)
+        starts = list(range(1, 4 * run_count, 4))
+        counts = [3] * run_count
+        columns = collect_runs(tctx, layout, src.address, starts, counts)
+        assert apply_runs(tctx, layout, batched.address, columns) is None
+        for run in BlockDiff(1, columns=columns).runs:
+            apply_range(tctx, layout, per_run.address, run.prim_start,
+                        run.prim_count, run.data)
+        assert (memory.load(batched.address, layout.local_size)
+                == memory.load(per_run.address, layout.local_size))
+        assert (memory.load(batched.address, layout.local_size)
+                != memory.load(src.address, layout.local_size))  # partial
 
 
 class TestByteRangesVectorized:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import ServerError
-from repro.server.compose import _covers, _surviving_runs, compose_diffs
+from repro.server.compose import _merge_columns, compose_diffs
 from repro.wire import BlockDiff, DiffRun, SegmentDiff
 
 
@@ -75,18 +75,31 @@ class TestRunMerging:
         assert len(block.runs) == 2
 
 
-class TestSurvivingRunsSweep:
-    """The sorted-interval sweep must be indistinguishable from the
-    naive O(n*m) pairwise scan it replaced."""
+class TestMergeColumnsSweep:
+    """The sorted-interval sweep over columns must be indistinguishable
+    from the naive O(n*m) pairwise scan over run objects, and every
+    surviving run must keep its own payload bytes."""
 
     @staticmethod
     def naive(accumulated, incoming):
+        def covers(newer, older):
+            return (newer.prim_start <= older.prim_start
+                    and newer.prim_start + newer.prim_count
+                    >= older.prim_start + older.prim_count)
+
         return [run for run in accumulated
-                if not any(_covers(newer, run) for newer in incoming)]
+                if not any(covers(newer, run) for newer in incoming)] + incoming
+
+    @staticmethod
+    def merged(accumulated, incoming):
+        return BlockDiff(1, columns=_merge_columns(
+            BlockDiff(1, runs=accumulated).columns,
+            BlockDiff(1, runs=incoming).columns)).runs
 
     @staticmethod
     def random_runs(rng, count, span=5000, max_width=40):
-        return [DiffRun(rng.randrange(span), rng.randrange(1, max_width), b"")
+        return [DiffRun(rng.randrange(span), rng.randrange(1, max_width),
+                        rng.randbytes(rng.randrange(6)))
                 for _ in range(count)]
 
     def test_many_runs_matches_naive(self):
@@ -94,7 +107,7 @@ class TestSurvivingRunsSweep:
         for _ in range(10):
             accumulated = self.random_runs(rng, 250)
             incoming = self.random_runs(rng, 250)
-            assert (_surviving_runs(accumulated, incoming)
+            assert (self.merged(accumulated, incoming)
                     == self.naive(accumulated, incoming))
 
     def test_duplicate_starts_and_exact_spans(self):
@@ -103,23 +116,23 @@ class TestSurvivingRunsSweep:
         old runs exactly coinciding with incoming ones."""
         rng = random.Random(7)
         accumulated = self.random_runs(rng, 100, span=50, max_width=8)
-        incoming = [DiffRun(run.prim_start, run.prim_count, b"")
+        incoming = [DiffRun(run.prim_start, run.prim_count, b"n")
                     for run in accumulated[::2]]
         incoming += [DiffRun(10, width, b"") for width in (1, 9, 3)]
-        assert (_surviving_runs(accumulated, incoming)
+        assert (self.merged(accumulated, incoming)
                 == self.naive(accumulated, incoming))
 
     def test_small_inputs_use_the_same_semantics(self):
         rng = random.Random(11)
         accumulated = self.random_runs(rng, 6, span=30, max_width=6)
         incoming = self.random_runs(rng, 6, span=30, max_width=6)
-        assert (_surviving_runs(accumulated, incoming)
+        assert (self.merged(accumulated, incoming)
                 == self.naive(accumulated, incoming))
 
     def test_empty_sides(self):
         runs = [DiffRun(0, 4, b"abcd")]
-        assert _surviving_runs([], runs) == []
-        assert _surviving_runs(runs, []) == runs
+        assert self.merged([], runs) == runs
+        assert self.merged(runs, []) == runs
 
 
 class TestLifecycle:

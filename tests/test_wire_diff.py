@@ -86,14 +86,23 @@ class TestErrors:
             decode_segment_diff(data + b"\x00")
 
 
+diff_runs = st.builds(
+    DiffRun,
+    prim_start=st.integers(0, 2**20),
+    prim_count=st.integers(1, 2**20),
+    # includes empty data and a zero-length string unit (bare length word)
+    data=st.one_of(st.sampled_from([b"", b"\x00\x00\x00\x00"]),
+                   st.binary(max_size=40)))
+
 block_diffs = st.builds(
     BlockDiff,
     serial=st.integers(1, 2**31),
-    runs=st.lists(st.builds(
-        DiffRun,
-        prim_start=st.integers(0, 2**20),
-        prim_count=st.integers(1, 2**20),
-        data=st.binary(max_size=40)), max_size=5),
+    # 0/1/4/5 runs: the edges where translation switches between the
+    # per-run loop and one gather/scatter (the codec must not care)
+    runs=st.one_of(
+        st.sampled_from([0, 1, 4, 5]).flatmap(
+            lambda count: st.lists(diff_runs, min_size=count, max_size=count)),
+        st.lists(diff_runs, max_size=12)),
     is_new=st.booleans(),
     freed=st.booleans(),
     type_serial=st.integers(0, 100),
@@ -118,4 +127,9 @@ def test_roundtrip_property(diff):
     for block_diff in diff.block_diffs:
         if not block_diff.is_new:
             block_diff.type_serial = 0
-    assert decode_segment_diff(encode_segment_diff(diff)) == diff
+    wire = encode_segment_diff(diff)
+    decoded = decode_segment_diff(wire)
+    assert decoded == diff
+    assert [bd.runs for bd in decoded.block_diffs] == [
+        bd.runs for bd in diff.block_diffs]
+    assert encode_segment_diff(decoded) == wire

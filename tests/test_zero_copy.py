@@ -1,12 +1,10 @@
 """The zero-copy diff data plane: equivalence, lifetime, and accounting.
 
-The columnar wire path (single-buffer backpatched encode, memoryview
-decode, ``RunColumns``/lazy runs) must be byte-identical on the wire to
-the legacy per-run path it replaced, reject every truncation, and never
-hand out a view whose backing buffer can be mutated or recycled under
-it.  ``REPRO_WIRE_LEGACY_DATAPLANE`` / ``set_legacy_dataplane`` keeps
-the old plane alive as a benchmark baseline; these tests are the
-compatibility contract between the two.
+The wire path (single-buffer backpatched encode, memoryview decode,
+``RunColumns`` end to end) must encode a diff the same whether it was
+built from ``DiffRun`` objects or from columns, reject every truncation,
+and never hand out a view whose backing buffer can be mutated or
+recycled under it.
 """
 
 import random
@@ -19,23 +17,8 @@ from hypothesis import strategies as st
 from repro.errors import WireFormatError
 from repro.obs.metrics import get_registry
 from repro.types import INT, ArrayDescriptor, encode_descriptor
-from repro.wire import (
-    RunColumns,
-    block_diff_from_columns,
-    decode_segment_diff,
-    encode_segment_diff,
-    legacy_dataplane_enabled,
-    set_legacy_dataplane,
-)
+from repro.wire import RunColumns, decode_segment_diff, encode_segment_diff
 from repro.wire.diff import BlockDiff, DiffRun, SegmentDiff
-
-
-@pytest.fixture
-def legacy_toggle():
-    """Restore the data-plane toggle no matter how the test exits."""
-    assert not legacy_dataplane_enabled()
-    yield set_legacy_dataplane
-    set_legacy_dataplane(False)
 
 
 def _random_segment_diff(rng: random.Random) -> SegmentDiff:
@@ -68,25 +51,35 @@ def _random_segment_diff(rng: random.Random) -> SegmentDiff:
                        new_types=new_types)
 
 
+def _as_columns(block_diff: BlockDiff) -> BlockDiff:
+    """The same block diff built from hand-assembled RunColumns."""
+    runs = block_diff.runs
+    columns = RunColumns(
+        np.array([run.prim_start for run in runs], np.int64),
+        np.array([run.prim_count for run in runs], np.int64),
+        np.array([len(run.data) for run in runs], np.int64),
+        b"".join(bytes(run.data) for run in runs))
+    return BlockDiff(block_diff.serial, columns=columns,
+                     is_new=block_diff.is_new, freed=block_diff.freed,
+                     type_serial=block_diff.type_serial, name=block_diff.name,
+                     version=block_diff.version)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31))
-def test_both_planes_roundtrip_equal_objects(seed):
-    """Each plane must round-trip any diff to an equal object (lazy runs
-    and memoryview payloads compare by value), and both encodings must
-    be the same size — the columnar body reorders the legacy plane's
-    interleaved headers, it never adds bytes, so every size-accounting
-    number in the paper's tables is plane-independent."""
+def test_diffrun_input_and_columns_input_encode_identically(seed):
+    """``BlockDiff(runs=[DiffRun...])`` is normalized to columns once, at
+    construction; it must encode to the same bytes as the same runs
+    handed over as ``RunColumns``, and both must round-trip to an equal
+    object (memoryview payloads compare by value)."""
     diff = _random_segment_diff(random.Random(seed))
-    try:
-        set_legacy_dataplane(False)
-        new_wire = encode_segment_diff(diff)
-        assert decode_segment_diff(new_wire) == diff
-        set_legacy_dataplane(True)
-        legacy_wire = encode_segment_diff(diff)
-        assert decode_segment_diff(legacy_wire) == diff
-    finally:
-        set_legacy_dataplane(False)
-    assert len(new_wire) == len(legacy_wire)
+    columnar = SegmentDiff(diff.segment, diff.from_version, diff.to_version,
+                           [_as_columns(bd) for bd in diff.block_diffs],
+                           diff.new_types)
+    assert columnar == diff
+    wire = encode_segment_diff(diff)
+    assert encode_segment_diff(columnar) == wire
+    assert decode_segment_diff(wire) == diff
 
 
 def test_columnar_roundtrip_from_columns():
@@ -97,7 +90,7 @@ def test_columnar_roundtrip_from_columns():
     lens = counts * 4
     data = bytes(range(28))
     columns = RunColumns(starts, counts, lens, data)
-    columnar = SegmentDiff("s", 1, 2, [block_diff_from_columns(3, columns)])
+    columnar = SegmentDiff("s", 1, 2, [BlockDiff(3, columns=columns)])
     listed = SegmentDiff("s", 1, 2, [BlockDiff(serial=3, runs=[
         DiffRun(0, 2, data[0:8]),
         DiffRun(10, 1, data[8:12]),
@@ -159,10 +152,186 @@ def test_materialize_detaches_and_counts_copies():
     assert decoded == diff
 
 
-def test_legacy_toggle_roundtrips(legacy_toggle):
-    """The baseline plane still works end to end (the bench depends on
-    it) and reports its state."""
-    legacy_toggle(True)
-    assert legacy_dataplane_enabled()
-    diff = _random_segment_diff(random.Random(7))
-    assert decode_segment_diff(encode_segment_diff(diff)) == diff
+# ---------------------------------------------------------------------------
+# one representation end to end: no DiffRun objects, no copies, same counters
+# ---------------------------------------------------------------------------
+
+class _RelayWorld:
+    """Origin (+ optional caching relay) on one in-process hub, a
+    little-endian writer and a big-endian reader of one int array."""
+
+    WORDS = 50_000
+
+    def __init__(self, relay: bool):
+        from repro import InProcHub, InterWeaveClient, InterWeaveServer
+        from repro.arch import SPARC_V9, X86_32
+        from repro.proxy import CachingProxy
+
+        self.hub = InProcHub()
+        self.origin = InterWeaveServer("h", sink=self.hub)
+        if relay:
+            self.hub.register_server("h-origin", self.origin)
+            self.hub.register_server("h", CachingProxy(
+                "h", connector=self.hub.connect, origin="h-origin",
+                sink=self.hub))
+        else:
+            self.hub.register_server("h", self.origin)
+        self.writer = InterWeaveClient("w", X86_32, self.hub.connect)
+        self.reader = InterWeaveClient("r", SPARC_V9, self.hub.connect)
+        self.wseg = self.writer.open_segment("h/a")
+        self.writer.wl_acquire(self.wseg)
+        self.array = self.writer.malloc(
+            self.wseg, ArrayDescriptor(INT, self.WORDS), name="a")
+        self.values = np.arange(self.WORDS, dtype=np.int64)
+        self.array.write_values(self.values.tolist())
+        self.writer.wl_release(self.wseg)
+        self.rseg = self.reader.open_segment("h/a", create=False)
+        assert self.read() == self.values.tolist()
+
+    def write_every(self, stride: int, salt: int) -> int:
+        """Rewrite every ``stride``-th word; returns how many changed."""
+        self.values[::stride] += salt
+        self.writer.wl_acquire(self.wseg)
+        self.array.write_values(self.values.tolist())
+        self.writer.wl_release(self.wseg)
+        return len(self.values[::stride])
+
+    def read(self) -> list:
+        self.reader.rl_acquire(self.rseg)
+        values = self.reader.accessor_for(self.rseg, "a").read_values().tolist()
+        self.reader.rl_release(self.rseg)
+        return values
+
+
+@pytest.mark.parametrize("relay", [False, True], ids=["direct", "relay"])
+def test_large_update_builds_no_diffrun_and_copies_nothing_at_apply(
+        monkeypatch, relay):
+    """Regression: the client's apply once called ``apply_runs`` without
+    the columns, so every large update built one ``DiffRun`` per run and
+    re-joined the payload.  With one representation, a 12.5k-run write
+    release -> server (-> relay) -> read acquire builds no ``DiffRun``
+    anywhere, and applying a diff decoded from immutable ``bytes`` does
+    not move ``wire.bytes_copied``."""
+    import repro.client.client as client_module
+
+    world = _RelayWorld(relay)
+    built = []
+    original_init = DiffRun.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original_init(self, *args, **kwargs)
+
+    copied = get_registry().counter("wire.bytes_copied")
+    applies = []
+    original_apply = client_module.apply_update
+
+    def metered_apply(tctx, heap, registry, diff, *args, **kwargs):
+        before = copied.value
+        original_apply(tctx, heap, registry, diff, *args, **kwargs)
+        applies.append((diff.block_diffs[0].columns.run_count,
+                        copied.value - before))
+
+    monkeypatch.setattr(DiffRun, "__init__", counting_init)
+    monkeypatch.setattr(client_module, "apply_update", metered_apply)
+    runs = world.write_every(4, salt=7)  # gaps of 3 words: nothing splices
+    assert runs >= 10_000
+    assert world.read() == world.values.tolist()
+    assert built == []
+    assert applies == [(runs, 0)]
+
+
+#: what the cycle below moved at f650dcc, with one exception:
+#: ``wire.bytes_copied`` was 581 there — 100 bytes more, the payload of the
+#: 25-run update that the client's apply re-joined (the bug pinned above)
+RECORDED_COUNTERS = {
+    "client.collect.runs": 2,
+    "client.collect.nodiff_runs": 0,
+    "client.collect.diff_runs": 30,
+    "client.collect.rle_bytes": 141,
+    "client.collect.modified_units": 30,
+    "wire.bytes_copied": 481,
+    "wire.swizzle.pointers_to_mips": 2,
+    "wire.swizzle.mips_to_pointers": 4,  # server's MIP store + reader
+    "wire.diff.encoded": 6,
+    "wire.diff.encoded_bytes": 1845,
+    "wire.diff.decoded": 6,
+    "wire.diff.decoded_bytes": 1845,
+    "wire.diff.runs_encoded": 90,
+}
+
+
+def test_data_plane_counters_match_recorded_values():
+    """Counting a diff's runs reads ``columns.run_count``, never the
+    object view — and the numbers are the ones the ``DiffRun``-list
+    implementation produced for this fixed cycle (recorded at f650dcc)."""
+    from repro.types import PointerDescriptor
+
+    world = _RelayWorld(relay=False)
+    world.writer.wl_acquire(world.wseg)
+    pointer = world.writer.malloc(world.wseg, PointerDescriptor(INT, "int"),
+                                  name="p")
+    pointer.set(world.array.element_accessor(1))
+    world.writer.wl_release(world.wseg)
+    world.read()
+    registry = get_registry()
+    before = {name: registry.counter(name).value for name in RECORDED_COUNTERS}
+    for stride in (2000, 20_000):  # 25 runs: gather/scatter; 3: per-run loop
+        world.values[::stride] += 1
+        world.writer.wl_acquire(world.wseg)
+        world.array.write_values(world.values.tolist())
+        pointer.set(world.array.element_accessor(stride))
+        world.writer.wl_release(world.wseg)
+        assert world.read() == world.values.tolist()
+        target = world.reader.accessor_for(world.rseg, "p").get()
+        assert target.get() == world.values[stride]
+    moved = {name: registry.counter(name).value - before[name]
+             for name in RECORDED_COUNTERS}
+    assert moved == RECORDED_COUNTERS, moved
+
+
+# -- allocator policy -----------------------------------------------------------
+
+_MMAP_PROBE = """
+import ctypes
+{prelude}
+libc = ctypes.CDLL(None)
+class Info(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+libc.mallinfo2.restype = Info
+before = libc.mallinfo2().hblks
+buffer = bytearray(4 << 20)
+print(libc.mallinfo2().hblks - before)
+"""
+
+
+def _mmapped_chunks_for_4mib(prelude: str, **env) -> int:
+    """How many mmap'd chunks a fresh interpreter spends on one 4 MiB
+    buffer after running ``prelude``."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    clean = {key: value for key, value in os.environ.items()
+             if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+    result = subprocess.run(
+        [sys.executable, "-c", _MMAP_PROBE.format(prelude=prelude)],
+        env=dict(clean, PYTHONPATH=src, **env),
+        capture_output=True, text=True, timeout=60)
+    if "mallinfo2" in result.stderr:
+        pytest.skip("no glibc mallinfo2 on this platform")
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout)
+
+
+def test_importing_repro_pins_malloc_thresholds():
+    """MB-scale temporaries come from the retained heap, not from a fresh
+    mmap that is faulted in and unmapped again every critical section —
+    unless the environment already chose a malloc policy."""
+    assert _mmapped_chunks_for_4mib("") == 1  # glibc's default: mmap it
+    assert _mmapped_chunks_for_4mib("import repro") == 0
+    assert _mmapped_chunks_for_4mib(
+        "import repro", MALLOC_MMAP_THRESHOLD_="131072") == 1
