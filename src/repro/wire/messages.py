@@ -42,9 +42,9 @@ adds two more request families over the same codec:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from typing import Dict, List, Optional, Tuple, Type
+import json
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
 from repro.errors import WireFormatError
 from repro.wire.codec import Reader, Writer, count_bytes_copied
@@ -61,46 +61,18 @@ COHERENCE_TEMPORAL = 2
 COHERENCE_DIFF = 3
 
 
-class Message:
-    """Base: a self-identifying, codec-serializable protocol message."""
+# ---------------------------------------------------------------------------
+# field kinds: the only places that know how a value is laid out
+# ---------------------------------------------------------------------------
 
-    TAG: int = -1
+class Kind(NamedTuple):
+    """How one message field crosses the wire: the token
+    docs/PROTOCOL.md §5 names it by, and the put/get pair that writes
+    and reads it."""
 
-    def encode_body(self, out: Writer) -> None:
-        raise NotImplementedError
-
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "Message":
-        raise NotImplementedError
-
-
-_REGISTRY: Dict[int, Type[Message]] = {}
-
-
-def _register(cls: Type[Message]) -> Type[Message]:
-    if cls.TAG in _REGISTRY:
-        raise ValueError(f"duplicate message tag {cls.TAG}")
-    _REGISTRY[cls.TAG] = cls
-    return cls
-
-
-def encode_message(message: Message) -> bytes:
-    out = Writer()
-    out.u8(message.TAG)
-    message.encode_body(out)
-    return out.getvalue()
-
-
-def decode_message(data: bytes) -> Message:
-    reader = Reader(data)
-    tag = reader.u8()
-    cls = _REGISTRY.get(tag)
-    if cls is None:
-        raise WireFormatError(f"unknown message tag {tag}")
-    message = cls.decode_body(reader)
-    if not reader.at_end():
-        raise WireFormatError(f"trailing bytes after {cls.__name__}")
-    return message
+    name: str
+    put: Callable[[Writer, object], object]
+    get: Callable[[Reader], object]
 
 
 def _encode_optional_diff(out: Writer, diff: Optional[SegmentDiff]) -> None:
@@ -124,30 +96,110 @@ def _decode_optional_diff(reader: Reader) -> Optional[SegmentDiff]:
     return decode_segment_diff_from(reader, reader.u32())
 
 
+def _encode_diff_entries(out: Writer,
+                         entries: List[Tuple[int, int, bytes]]) -> None:
+    out.u32(len(entries))
+    for from_version, to_version, encoded in entries:
+        out.u32(from_version).u32(to_version).blob(encoded)
+
+
+def _decode_diff_entries(reader: Reader) -> List[Tuple[int, int, bytes]]:
+    return [(reader.u32(), reader.u32(), reader.blob())
+            for _ in range(reader.u32())]
+
+
+def _encode_shipped_blob(out: Writer, data: bytes) -> None:
+    # the replication ship copy: the release's encoded diff bytes
+    # spliced into the stream message (the one copy the replication
+    # tier takes — the WAL and DiffCache share the same buffer)
+    count_bytes_copied(len(data))
+    out.blob(data)
+
+
+U8 = Kind("u8", Writer.u8, Reader.u8)
+U32 = Kind("u32", Writer.u32, Reader.u32)
+U64 = Kind("u64", Writer.u64, Reader.u64)
+F64 = Kind("f64", Writer.f64, Reader.f64)
+BOOL = Kind("bool", Writer.boolean, Reader.boolean)
+TEXT = Kind("text", Writer.text, Reader.text)
+BLOB = Kind("blob", Writer.blob, Reader.blob)
+#: a ``blob`` on the wire whose splice counts toward ``wire.bytes_copied``
+SHIPPED_BLOB = Kind("blob", _encode_shipped_blob, Reader.blob)
+OPT_DIFF = Kind("opt_diff", _encode_optional_diff, _decode_optional_diff)
+DIFF_ENTRIES = Kind("diff_entries", _encode_diff_entries, _decode_diff_entries)
+
+
+# ---------------------------------------------------------------------------
+# the schema-driven codec
+# ---------------------------------------------------------------------------
+
+class Message:
+    """Base: a self-identifying, codec-serializable protocol message.
+
+    ``FIELDS`` is the message's wire layout: one ``(name, Kind)`` pair
+    per dataclass field, in body order, declared with :func:`message`.
+    """
+
+    TAG: int = -1
+    FIELDS: Tuple[Tuple[str, Kind], ...] = ()
+
+
+_REGISTRY: Dict[int, Type[Message]] = {}
+
+
+def message(tag: int, *kinds: Kind):
+    """Class decorator: make ``cls`` a dataclass, declare the wire kind
+    of each of its fields (positionally), and register it under ``tag``."""
+
+    def declare(cls: Type[Message]) -> Type[Message]:
+        cls = dataclass(cls)
+        names = [spec.name for spec in fields(cls)]
+        if len(kinds) != len(names):
+            raise TypeError(f"{cls.__name__}: {len(kinds)} field kinds "
+                            f"for {len(names)} fields")
+        if tag in _REGISTRY:
+            raise ValueError(f"duplicate message tag {tag}")
+        cls.TAG = tag
+        cls.FIELDS = tuple(zip(names, kinds))
+        _REGISTRY[tag] = cls
+        return cls
+
+    return declare
+
+
+def encode_message(message: Message) -> bytes:
+    out = Writer()
+    out.u8(message.TAG)
+    for name, kind in message.FIELDS:
+        kind.put(out, getattr(message, name))
+    return out.getvalue()
+
+
+def decode_message(data: bytes) -> Message:
+    reader = Reader(data)
+    tag = reader.u8()
+    cls = _REGISTRY.get(tag)
+    if cls is None:
+        raise WireFormatError(f"unknown message tag {tag}")
+    message = cls(*[kind.get(reader) for _, kind in cls.FIELDS])
+    if not reader.at_end():
+        raise WireFormatError(f"trailing bytes after {cls.__name__}")
+    return message
+
+
 # ---------------------------------------------------------------------------
 # requests
 # ---------------------------------------------------------------------------
 
-@_register
-@dataclass
+@message(1, TEXT, BOOL, TEXT)
 class OpenSegmentRequest(Message):
-    TAG = 1
     segment: str
     create: bool = True
     client_id: str = ""
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.segment).boolean(self.create).text(self.client_id)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "OpenSegmentRequest":
-        return cls(reader.text(), reader.boolean(), reader.text())
-
-
-@_register
-@dataclass
+@message(2, TEXT, U8, TEXT, U32, U8, F64, F64)
 class LockAcquireRequest(Message):
-    TAG = 2
     segment: str
     mode: int  # LOCK_READ or LOCK_WRITE
     client_id: str
@@ -156,40 +208,17 @@ class LockAcquireRequest(Message):
     coherence_param: float = 0.0
     client_time: float = 0.0  # client clock, for temporal coherence
 
-    def encode_body(self, out: Writer) -> None:
-        (out.text(self.segment).u8(self.mode).text(self.client_id)
-            .u32(self.client_version).u8(self.coherence_kind)
-            .f64(self.coherence_param).f64(self.client_time))
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "LockAcquireRequest":
-        return cls(reader.text(), reader.u8(), reader.text(), reader.u32(),
-                   reader.u8(), reader.f64(), reader.f64())
-
-
-@_register
-@dataclass
+@message(3, TEXT, U8, TEXT, OPT_DIFF)
 class LockReleaseRequest(Message):
-    TAG = 3
     segment: str
     mode: int
     client_id: str
     diff: Optional[SegmentDiff] = None  # present on write release
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.segment).u8(self.mode).text(self.client_id)
-        _encode_optional_diff(out, self.diff)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "LockReleaseRequest":
-        return cls(reader.text(), reader.u8(), reader.text(),
-                   _decode_optional_diff(reader))
-
-
-@_register
-@dataclass
+@message(4, TEXT, TEXT, U32, BOOL)
 class FetchRequest(Message):
-    TAG = 4
     segment: str
     client_id: str
     client_version: int
@@ -198,128 +227,62 @@ class FetchRequest(Message):
     #: ("actual data will not be copied until the segment is locked").
     meta_only: bool = False
 
-    def encode_body(self, out: Writer) -> None:
-        (out.text(self.segment).text(self.client_id)
-            .u32(self.client_version).boolean(self.meta_only))
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "FetchRequest":
-        return cls(reader.text(), reader.text(), reader.u32(), reader.boolean())
-
-
-@_register
-@dataclass
+@message(6, TEXT, TEXT)
 class DeleteSegmentRequest(Message):
     """Destroy a segment at the server.  Clients still caching it will get
     errors on their next validation — deletion is administrative, not
     coherent."""
 
-    TAG = 6
     segment: str
     client_id: str
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.segment).text(self.client_id)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "DeleteSegmentRequest":
-        return cls(reader.text(), reader.text())
-
-
-@_register
-@dataclass
+@message(70, BOOL)
 class DeleteSegmentReply(Message):
-    TAG = 70
     deleted: bool
 
-    def encode_body(self, out: Writer) -> None:
-        out.boolean(self.deleted)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "DeleteSegmentReply":
-        return cls(reader.boolean())
-
-
-@_register
-@dataclass
+@message(7, TEXT)
 class GetStatsRequest(Message):
     """Ask the server for a stats snapshot (purely observational: no
     segment or coherence state changes)."""
 
-    TAG = 7
     client_id: str = ""
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.client_id)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "GetStatsRequest":
-        return cls(reader.text())
-
-
-@_register
-@dataclass
+@message(71, TEXT)
 class GetStatsReply(Message):
     """The snapshot, as canonical JSON text (sorted keys): a ``server``
     section (name, segment table) and a ``metrics`` section (the
     registry snapshot).  JSON keeps the payload schema-free so servers
     can grow new metrics without a protocol revision."""
 
-    TAG = 71
     payload: str
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.payload)
-
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "GetStatsReply":
-        return cls(reader.text())
-
     def to_dict(self) -> dict:
-        import json
-
         return json.loads(self.payload)
 
 
-@_register
-@dataclass
+@message(5, TEXT, TEXT, BOOL)
 class SubscribeRequest(Message):
-    TAG = 5
     segment: str
     client_id: str
     enable: bool
-
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.segment).text(self.client_id).boolean(self.enable)
-
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "SubscribeRequest":
-        return cls(reader.text(), reader.text(), reader.boolean())
 
 
 # ---------------------------------------------------------------------------
 # replies
 # ---------------------------------------------------------------------------
 
-@_register
-@dataclass
+@message(64, BOOL, U32)
 class OpenSegmentReply(Message):
-    TAG = 64
     existed: bool
     version: int
 
-    def encode_body(self, out: Writer) -> None:
-        out.boolean(self.existed).u32(self.version)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "OpenSegmentReply":
-        return cls(reader.boolean(), reader.u32())
-
-
-@_register
-@dataclass
+@message(65, BOOL, U32, F64, OPT_DIFF)
 class LockAcquireReply(Message):
-    TAG = 65
     granted: bool
     version: int = 0  # current segment version at the server
     #: seconds of write-lock lease granted (0 on reads and denials); the
@@ -328,90 +291,35 @@ class LockAcquireReply(Message):
     lease_remaining: float = 0.0
     diff: Optional[SegmentDiff] = None  # update, when the cache is stale
 
-    def encode_body(self, out: Writer) -> None:
-        out.boolean(self.granted).u32(self.version).f64(self.lease_remaining)
-        _encode_optional_diff(out, self.diff)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "LockAcquireReply":
-        return cls(reader.boolean(), reader.u32(), reader.f64(),
-                   _decode_optional_diff(reader))
-
-
-@_register
-@dataclass
+@message(66, U32)
 class LockReleaseReply(Message):
-    TAG = 66
     version: int  # the version the release produced (write) or held (read)
 
-    def encode_body(self, out: Writer) -> None:
-        out.u32(self.version)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "LockReleaseReply":
-        return cls(reader.u32())
-
-
-@_register
-@dataclass
+@message(67, U32, OPT_DIFF)
 class FetchReply(Message):
-    TAG = 67
     version: int
     diff: Optional[SegmentDiff] = None  # None when already current
 
-    def encode_body(self, out: Writer) -> None:
-        out.u32(self.version)
-        _encode_optional_diff(out, self.diff)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "FetchReply":
-        return cls(reader.u32(), _decode_optional_diff(reader))
-
-
-@_register
-@dataclass
+@message(68, BOOL)
 class SubscribeReply(Message):
-    TAG = 68
     enabled: bool
 
-    def encode_body(self, out: Writer) -> None:
-        out.boolean(self.enabled)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "SubscribeReply":
-        return cls(reader.boolean())
-
-
-@_register
-@dataclass
+@message(69, TEXT, U32)
 class NotifyInvalidate(Message):
     """Server -> client notification: the segment moved past a coherence
     bound, so the client's next acquire must revalidate."""
 
-    TAG = 69
     segment: str
     version: int
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.segment).u32(self.version)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "NotifyInvalidate":
-        return cls(reader.text(), reader.u32())
-
-
-@_register
-@dataclass
+@message(127, TEXT)
 class ErrorReply(Message):
-    TAG = 127
     message: str
-
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.message)
-
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "ErrorReply":
-        return cls(reader.text())
 
 
 # ---------------------------------------------------------------------------
@@ -426,55 +334,24 @@ DIR_UNPIN = 3
 DIR_MIGRATE = 4
 
 
-def _encode_diff_entries(out: Writer,
-                         entries: List[Tuple[int, int, bytes]]) -> None:
-    out.u32(len(entries))
-    for from_version, to_version, encoded in entries:
-        out.u32(from_version).u32(to_version).blob(encoded)
-
-
-def _decode_diff_entries(reader: Reader) -> List[Tuple[int, int, bytes]]:
-    return [(reader.u32(), reader.u32(), reader.blob())
-            for _ in range(reader.u32())]
-
-
-@_register
-@dataclass
+@message(8, TEXT, TEXT)
 class DirectoryLookupRequest(Message):
     """Resolve ``segment`` to the origin server currently bound to it."""
 
-    TAG = 8
     segment: str
     client_id: str = ""
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.segment).text(self.client_id)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "DirectoryLookupRequest":
-        return cls(reader.text(), reader.text())
-
-
-@_register
-@dataclass
+@message(72, TEXT, U64, BOOL)
 class DirectoryLookupReply(Message):
-    TAG = 72
     origin: str
     #: the binding's generation stamp; redirects carrying an older
     #: generation than a cached binding are ignored
     generation: int = 0
     pinned: bool = False
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.origin).u64(self.generation).boolean(self.pinned)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "DirectoryLookupReply":
-        return cls(reader.text(), reader.u64(), reader.boolean())
-
-
-@_register
-@dataclass
+@message(9, U8, TEXT, TEXT, TEXT)
 class DirectoryUpdateRequest(Message):
     """Change ring membership or per-segment bindings (``DIR_*`` ops).
 
@@ -482,165 +359,79 @@ class DirectoryUpdateRequest(Message):
     target; ``segment`` is used by the pin/unpin/migrate operations.
     """
 
-    TAG = 9
     op: int
     origin: str = ""
     segment: str = ""
     client_id: str = ""
 
-    def encode_body(self, out: Writer) -> None:
-        (out.u8(self.op).text(self.origin).text(self.segment)
-            .text(self.client_id))
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "DirectoryUpdateRequest":
-        return cls(reader.u8(), reader.text(), reader.text(), reader.text())
-
-
-@_register
-@dataclass
+@message(73, BOOL, U64)
 class DirectoryUpdateReply(Message):
-    TAG = 73
     ok: bool
     generation: int = 0
 
-    def encode_body(self, out: Writer) -> None:
-        out.boolean(self.ok).u64(self.generation)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "DirectoryUpdateReply":
-        return cls(reader.boolean(), reader.u64())
-
-
-@_register
-@dataclass
+@message(74, TEXT, TEXT, U64)
 class RedirectReply(Message):
     """"WrongServer": the addressed server does not serve ``segment``
     (any more); ``origin`` does, as of binding ``generation``."""
 
-    TAG = 74
     segment: str
     origin: str
     generation: int = 0
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.segment).text(self.origin).u64(self.generation)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "RedirectReply":
-        return cls(reader.text(), reader.text(), reader.u64())
-
-
-@_register
-@dataclass
+@message(10, TEXT, TEXT)
 class MigrateOutRequest(Message):
     """Freeze writes to ``segment`` and export its full state."""
 
-    TAG = 10
     segment: str
     client_id: str = ""
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.segment).text(self.client_id)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "MigrateOutRequest":
-        return cls(reader.text(), reader.text())
-
-
-@_register
-@dataclass
+@message(75, U32, BLOB, DIFF_ENTRIES)
 class MigrateOutReply(Message):
     """The frozen segment: a checkpoint image plus the diff-cache
     entries worth re-seeding at the target."""
 
-    TAG = 75
     version: int
     payload: bytes
     diffs: List[Tuple[int, int, bytes]] = field(default_factory=list)
 
-    def encode_body(self, out: Writer) -> None:
-        out.u32(self.version).blob(self.payload)
-        _encode_diff_entries(out, self.diffs)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "MigrateOutReply":
-        return cls(reader.u32(), reader.blob(), _decode_diff_entries(reader))
-
-
-@_register
-@dataclass
+@message(11, TEXT, BLOB, DIFF_ENTRIES, TEXT)
 class MigrateInRequest(Message):
     """Install an exported segment at the target origin."""
 
-    TAG = 11
     segment: str
     payload: bytes
     diffs: List[Tuple[int, int, bytes]] = field(default_factory=list)
     client_id: str = ""
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.segment).blob(self.payload)
-        _encode_diff_entries(out, self.diffs)
-        out.text(self.client_id)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "MigrateInRequest":
-        return cls(reader.text(), reader.blob(), _decode_diff_entries(reader),
-                   reader.text())
-
-
-@_register
-@dataclass
+@message(12, TEXT, TEXT, U64, TEXT)
 class MigrateCommitRequest(Message):
     """Drop the frozen source copy and leave a redirect tombstone."""
 
-    TAG = 12
     segment: str
     target: str
     generation: int = 0
     client_id: str = ""
 
-    def encode_body(self, out: Writer) -> None:
-        (out.text(self.segment).text(self.target).u64(self.generation)
-            .text(self.client_id))
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "MigrateCommitRequest":
-        return cls(reader.text(), reader.text(), reader.u64(), reader.text())
-
-
-@_register
-@dataclass
+@message(13, TEXT, TEXT)
 class MigrateAbortRequest(Message):
     """Unfreeze a segment whose migration failed before commit."""
 
-    TAG = 13
     segment: str
     client_id: str = ""
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.segment).text(self.client_id)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "MigrateAbortRequest":
-        return cls(reader.text(), reader.text())
-
-
-@_register
-@dataclass
+@message(76, BOOL)
 class MigrateAck(Message):
     """Acknowledges MigrateIn / MigrateCommit / MigrateAbort."""
 
-    TAG = 76
     ok: bool = True
-
-    def encode_body(self, out: Writer) -> None:
-        out.boolean(self.ok)
-
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "MigrateAck":
-        return cls(reader.boolean())
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +444,7 @@ REPL_LEASE = 1     # a write-lease grant or release at the primary
 REPL_PROMOTE = 2   # control: backup becomes primary for its segments
 
 
-@_register
-@dataclass
+@message(14, U8, TEXT, U32, U32, F64, SHIPPED_BLOB, TEXT, F64, TEXT)
 class ReplicateAppendRequest(Message):
     """One record of the primary's replication stream.
 
@@ -669,7 +459,6 @@ class ReplicateAppendRequest(Message):
     primary (``segment`` is empty: promotion is server-wide).
     """
 
-    TAG = 14
     kind: int
     segment: str = ""
     from_version: int = 0
@@ -680,63 +469,27 @@ class ReplicateAppendRequest(Message):
     lease_expiry: float = 0.0
     client_id: str = ""
 
-    def encode_body(self, out: Writer) -> None:
-        # the replication ship copy: the release's encoded diff bytes
-        # spliced into the stream message (the one copy the replication
-        # tier takes — the WAL and DiffCache share the same buffer)
-        count_bytes_copied(len(self.payload))
-        (out.u8(self.kind).text(self.segment).u32(self.from_version)
-            .u32(self.to_version).f64(self.timestamp).blob(self.payload)
-            .text(self.writer).f64(self.lease_expiry).text(self.client_id))
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "ReplicateAppendRequest":
-        return cls(reader.u8(), reader.text(), reader.u32(), reader.u32(),
-                   reader.f64(), reader.blob(), reader.text(), reader.f64(),
-                   reader.text())
-
-
-@_register
-@dataclass
+@message(15, TEXT, U32, BLOB, DIFF_ENTRIES, TEXT)
 class ReplicateCatchupRequest(Message):
     """Full-state resync for one segment: a checkpoint image plus the
     diff-cache entries worth re-seeding, exactly like migration's
     export.  Sent when the backup nacks an append (version gap) or when
     a segment first joins the stream."""
 
-    TAG = 15
     segment: str
     version: int
     payload: bytes
     diffs: List[Tuple[int, int, bytes]] = field(default_factory=list)
     client_id: str = ""
 
-    def encode_body(self, out: Writer) -> None:
-        out.text(self.segment).u32(self.version).blob(self.payload)
-        _encode_diff_entries(out, self.diffs)
-        out.text(self.client_id)
 
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "ReplicateCatchupRequest":
-        return cls(reader.text(), reader.u32(), reader.blob(),
-                   _decode_diff_entries(reader), reader.text())
-
-
-@_register
-@dataclass
+@message(77, BOOL, U32)
 class ReplicateAck(Message):
     """Acknowledges a replication record; ``version`` is the backup's
     version of the segment after applying (the primary derives
     replication lag from it).  ``ok=False`` means the record could not
     be applied in sequence and the segment needs a catchup."""
 
-    TAG = 77
     ok: bool = True
     version: int = 0
-
-    def encode_body(self, out: Writer) -> None:
-        out.boolean(self.ok).u32(self.version)
-
-    @classmethod
-    def decode_body(cls, reader: Reader) -> "ReplicateAck":
-        return cls(reader.boolean(), reader.u32())

@@ -1,4 +1,5 @@
-"""Golden-bytes compatibility: the diff codec's output is pinned.
+"""Golden-bytes compatibility: the diff codec's and the message codec's
+output is pinned.
 
 ``GOLDEN_HEX`` was generated at commit ``f650dcc`` — the last one with
 the ``DiffRun``-list representation, the rows encoder and the legacy data
@@ -17,6 +18,23 @@ plane toggle — by running, with ``PYTHONPATH=src``::
 Bytes on the wire, in the WAL and in the DiffCache are the same encoded
 segment diff, so pinning ``encode_segment_diff`` pins all three; the WAL
 replay below proves the pinned bytes still mean the same segment.
+
+``GOLDEN_MESSAGE_HEX`` was generated at commit ``2718318`` — the last one
+where each of the 30 message classes hand-wrote ``encode_body`` and
+``decode_body`` — by running, with ``PYTHONPATH=src``::
+
+    from repro.wire.messages import encode_message
+
+    <golden_messages exactly as defined below>
+
+    for name, message in golden_messages().items():
+        print(f'    "{name}": "{encode_message(message).hex()}",')
+
+It holds at least one fixture per registered tag, the optional diff of
+tags 3 / 65 / 67 both present and absent, a non-empty diff-entry list for
+tags 11 / 15 / 75, and every ``REPL_*`` kind of tag 14.
+``tests/conformance/`` decodes the same corpus with a codec built from
+``docs/PROTOCOL.md`` §5.
 """
 
 import struct
@@ -29,6 +47,7 @@ from repro.types import (INT, ArrayDescriptor, Field, PointerDescriptor,
                          RecordDescriptor, StringDescriptor, TypeRegistry)
 from repro.wire import (BlockDiff, DiffRun, SegmentDiff, decode_segment_diff,
                         encode_segment_diff)
+from repro.wire import messages as m
 
 GOLDEN_HEX = {
     "records": (
@@ -92,6 +111,128 @@ GOLDEN_HEX = {
     ),
 }
 
+GOLDEN_MESSAGE_HEX = {
+    "open_segment": "010000000b686f73742f676f6c64656e01000000026331",
+    "open_segment_no_create": "010000000b686f73742f676f6c64656e0000000000",
+    "lock_acquire": (
+        "020000000b686f73742f676f6c64656e01000000026331000000050140080000"
+        "000000004029000000000000"
+    ),
+    "lock_acquire_defaults": (
+        "020000000b686f73742f676f6c64656e0000000005636166c3a9000000000000"
+        "000000000000000000000000000000"
+    ),
+    "lock_release_read": "030000000b686f73742f676f6c64656e0000000002633100",
+    "lock_release_write": (
+        "030000000b686f73742f676f6c64656e0100000002633101000000400000000b"
+        "686f73742f676f6c64656e000000010000000200000000000000010000000100"
+        "000000020000001000000001000000050000000100000004fffffff9"
+    ),
+    "fetch": "040000000b686f73742f676f6c64656e0000000263310000000400",
+    "fetch_meta_only": "040000000b686f73742f676f6c64656e0000000263310000000001",
+    "subscribe": "050000000b686f73742f676f6c64656e00000002633101",
+    "unsubscribe": "050000000b686f73742f676f6c64656e00000002633100",
+    "delete_segment": "060000000b686f73742f676f6c64656e000000026331",
+    "get_stats": "07000000026331",
+    "directory_lookup": "080000000b686f73742f676f6c64656e000000026331",
+    "directory_update": (
+        "0904000000086f726967696e2d310000000b686f73742f676f6c64656e000000"
+        "0561646d696e"
+    ),
+    "migrate_out": "0a0000000b686f73742f676f6c64656e0000000821636c7573746572",
+    "migrate_in": (
+        "0b0000000b686f73742f676f6c64656e0000000b00636865636b706f696e7400"
+        "0000020000000100000002000000400000000b686f73742f676f6c64656e0000"
+        "0001000000020000000000000001000000010000000002000000100000000100"
+        "0000050000000100000004fffffff90000000300000004000000300000000b68"
+        "6f73742f676f6c64656e00000003000000040000000000000001000000030200"
+        "00000400000000000000000000000821636c7573746572"
+    ),
+    "migrate_in_no_diffs": "0b0000000b686f73742f676f6c64656e000000000000000000000000",
+    "migrate_commit": (
+        "0c0000000b686f73742f676f6c64656e000000086f726967696e2d3100000100"
+        "000000070000000821636c7573746572"
+    ),
+    "migrate_abort": "0d0000000b686f73742f676f6c64656e0000000821636c7573746572",
+    "replicate_diff": (
+        "0e000000000b686f73742f676f6c64656e000000010000000240934a00000000"
+        "00000000400000000b686f73742f676f6c64656e000000010000000200000000"
+        "0000000100000001000000000200000010000000010000000500000001000000"
+        "04fffffff900000000000000000000000000000005217265706c"
+    ),
+    "replicate_lease": (
+        "0e010000000b686f73742f676f6c64656e000000000000000000000000000000"
+        "00000000000000000263314058d0000000000000000005217265706c"
+    ),
+    "replicate_promote": (
+        "0e02000000000000000000000000000000000000000000000000000000000000"
+        "00000000000000000005217265706c"
+    ),
+    "replicate_catchup": (
+        "0f0000000b686f73742f676f6c64656e000000040000000b00636865636b706f"
+        "696e74000000020000000100000002000000400000000b686f73742f676f6c64"
+        "656e000000010000000200000000000000010000000100000000020000001000"
+        "000001000000050000000100000004fffffff900000003000000040000003000"
+        "00000b686f73742f676f6c64656e000000030000000400000000000000010000"
+        "00030200000004000000000000000000000005217265706c"
+    ),
+    "open_segment_reply": "400100000007",
+    "lock_acquire_reply": "410100000006403e00000000000000",
+    "lock_acquire_reply_diff": (
+        "410100000003000000000000000001000002340000000b686f73742f676f6c64"
+        "656e000000020000000300000000000000010000000100000000030000020400"
+        "00001a0000000000000001000000040000000600000002000000080000000c00"
+        "0000030000000c00000012000000010000000400000018000000020000000800"
+        "00001e000000030000000c0000002400000001000000040000002a0000000200"
+        "00000800000030000000030000000c0000003600000001000000040000003c00"
+        "0000020000000800000042000000030000000c00000048000000010000000400"
+        "00004e000000020000000800000054000000030000000c0000005a0000000100"
+        "00000400000060000000020000000800000066000000030000000c0000006c00"
+        "0000010000000400000072000000020000000800000078000000030000000c00"
+        "00007e00000001000000040000008400000002000000080000008a0000000300"
+        "00000c0000009000000001000000040000009600000002000000080000000000"
+        "0003e8000003e9000007d0000007d1000007d200000bb800000fa000000fa100"
+        "001388000013890000138a0000177000001b5800001b5900001f4000001f4100"
+        "001f4200002328000027100000271100002af800002af900002afa00002ee000"
+        "0032c8000032c9000036b0000036b1000036b200003a9800003e8000003e8100"
+        "004268000042690000426a0000465000004a3800004a3900004e2000004e2100"
+        "004e2200005208000055f0000055f1000059d8000059d9000059da00005dc000"
+        "0061a8000061a9"
+    ),
+    "lock_acquire_reply_denied": "410000000000000000000000000000",
+    "lock_release_reply": "4200000007",
+    "fetch_reply": "430000000900",
+    "fetch_reply_diff": (
+        "430000000401000000300000000b686f73742f676f6c64656e00000003000000"
+        "0400000000000000010000000302000000040000000000000000"
+    ),
+    "subscribe_reply": "4401",
+    "notify_invalidate": "450000000b686f73742f676f6c64656e0000000a",
+    "delete_segment_reply": "4601",
+    "get_stats_reply": (
+        "470000002b7b226d657472696373223a207b7d2c2022736572766572223a207b"
+        "226e616d65223a2022686f7374227d7d"
+    ),
+    "directory_lookup_reply": "48000000086f726967696e2d31000000000000000701",
+    "directory_update_reply": "49018000000000000001",
+    "redirect_reply": (
+        "4a0000000b686f73742f676f6c64656e000000086f726967696e2d3100000000"
+        "00000007"
+    ),
+    "migrate_out_reply": (
+        "4b000000040000000b00636865636b706f696e74000000020000000100000002"
+        "000000400000000b686f73742f676f6c64656e00000001000000020000000000"
+        "0000010000000100000000020000001000000001000000050000000100000004"
+        "fffffff90000000300000004000000300000000b686f73742f676f6c64656e00"
+        "0000030000000400000000000000010000000302000000040000000000000000"
+    ),
+    "migrate_out_reply_no_diffs": "4b000000000000000b00636865636b706f696e7400000000",
+    "migrate_ack": "4c00",
+    "replicate_ack": "4d0100000002",
+    "replicate_nack": "4d0000000001",
+    "error_reply": "7f000000117365676d656e74206e6f7420666f756e64",
+}
+
 
 def ints(*values):
     return struct.pack(f">{len(values)}i", *values)
@@ -128,6 +269,71 @@ def golden_diffs():
     }
 
 
+def golden_messages():
+    diffs = golden_diffs()
+    one_run = bytes.fromhex(GOLDEN_HEX["one_run"])
+    entries = [(1, 2, one_run), (3, 4, bytes.fromhex(GOLDEN_HEX["tombstone"]))]
+    return {
+        # requests
+        "open_segment": m.OpenSegmentRequest("host/golden", True, "c1"),
+        "open_segment_no_create": m.OpenSegmentRequest("host/golden", False),
+        "lock_acquire": m.LockAcquireRequest(
+            "host/golden", m.LOCK_WRITE, "c1", 5, m.COHERENCE_DELTA, 3.0, 12.5),
+        "lock_acquire_defaults": m.LockAcquireRequest(
+            "host/golden", m.LOCK_READ, "caf\u00e9", 0),
+        "lock_release_read": m.LockReleaseRequest("host/golden", m.LOCK_READ, "c1"),
+        "lock_release_write": m.LockReleaseRequest(
+            "host/golden", m.LOCK_WRITE, "c1", diffs["one_run"]),
+        "fetch": m.FetchRequest("host/golden", "c1", 4),
+        "fetch_meta_only": m.FetchRequest("host/golden", "c1", 0, meta_only=True),
+        "subscribe": m.SubscribeRequest("host/golden", "c1", True),
+        "unsubscribe": m.SubscribeRequest("host/golden", "c1", False),
+        "delete_segment": m.DeleteSegmentRequest("host/golden", "c1"),
+        "get_stats": m.GetStatsRequest("c1"),
+        "directory_lookup": m.DirectoryLookupRequest("host/golden", "c1"),
+        "directory_update": m.DirectoryUpdateRequest(
+            m.DIR_MIGRATE, "origin-1", "host/golden", "admin"),
+        "migrate_out": m.MigrateOutRequest("host/golden", "!cluster"),
+        "migrate_in": m.MigrateInRequest(
+            "host/golden", b"\x00checkpoint", entries, "!cluster"),
+        "migrate_in_no_diffs": m.MigrateInRequest("host/golden", b""),
+        "migrate_commit": m.MigrateCommitRequest(
+            "host/golden", "origin-1", 2 ** 40 + 7, "!cluster"),
+        "migrate_abort": m.MigrateAbortRequest("host/golden", "!cluster"),
+        "replicate_diff": m.ReplicateAppendRequest(
+            m.REPL_DIFF, "host/golden", 1, 2, 1234.5, one_run, client_id="!repl"),
+        "replicate_lease": m.ReplicateAppendRequest(
+            m.REPL_LEASE, "host/golden", writer="c1", lease_expiry=99.25,
+            client_id="!repl"),
+        "replicate_promote": m.ReplicateAppendRequest(
+            m.REPL_PROMOTE, client_id="!repl"),
+        "replicate_catchup": m.ReplicateCatchupRequest(
+            "host/golden", 4, b"\x00checkpoint", entries, "!repl"),
+        # replies
+        "open_segment_reply": m.OpenSegmentReply(True, 7),
+        "lock_acquire_reply": m.LockAcquireReply(True, 6, 30.0),
+        "lock_acquire_reply_diff": m.LockAcquireReply(
+            True, 3, 0.0, diffs["scattered"]),
+        "lock_acquire_reply_denied": m.LockAcquireReply(False),
+        "lock_release_reply": m.LockReleaseReply(7),
+        "fetch_reply": m.FetchReply(9),
+        "fetch_reply_diff": m.FetchReply(4, diffs["tombstone"]),
+        "subscribe_reply": m.SubscribeReply(True),
+        "notify_invalidate": m.NotifyInvalidate("host/golden", 10),
+        "delete_segment_reply": m.DeleteSegmentReply(True),
+        "get_stats_reply": m.GetStatsReply('{"metrics": {}, "server": {"name": "host"}}'),
+        "directory_lookup_reply": m.DirectoryLookupReply("origin-1", 7, True),
+        "directory_update_reply": m.DirectoryUpdateReply(True, 2 ** 63 + 1),
+        "redirect_reply": m.RedirectReply("host/golden", "origin-1", 7),
+        "migrate_out_reply": m.MigrateOutReply(4, b"\x00checkpoint", entries),
+        "migrate_out_reply_no_diffs": m.MigrateOutReply(0, b"\x00checkpoint"),
+        "migrate_ack": m.MigrateAck(False),
+        "replicate_ack": m.ReplicateAck(True, 2),
+        "replicate_nack": m.ReplicateAck(False, 1),
+        "error_reply": m.ErrorReply("segment not found"),
+    }
+
+
 @pytest.mark.parametrize("name", list(GOLDEN_HEX))
 def test_encoding_is_byte_identical(name):
     golden = bytes.fromhex(GOLDEN_HEX[name])
@@ -136,6 +342,22 @@ def test_encoding_is_byte_identical(name):
     decoded = decode_segment_diff(golden)
     assert decoded == diff
     assert encode_segment_diff(decoded) == golden  # a fixed point
+
+
+def test_every_registered_tag_has_a_golden_message():
+    assert set(GOLDEN_MESSAGE_HEX) == set(golden_messages())
+    assert ({type(message).TAG for message in golden_messages().values()}
+            == set(m._REGISTRY))
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_MESSAGE_HEX))
+def test_message_encoding_is_byte_identical(name):
+    golden = bytes.fromhex(GOLDEN_MESSAGE_HEX[name])
+    message = golden_messages()[name]
+    assert m.encode_message(message) == golden
+    decoded = m.decode_message(golden)
+    assert decoded == message
+    assert m.encode_message(decoded) == golden  # a fixed point
 
 
 def test_wal_built_from_golden_bytes_replays(tmp_path):
