@@ -36,7 +36,13 @@ Acceptance (see the tests below):
   loop (``_collect_per_unit``, ``_apply_per_unit``, ``iter_units``, or any
   function called once per word) in the hot profile of the writer's
   release, and none of those names nor any function called once per
-  *run* in the hot profile of the reader's read-acquire applying it.
+  *run* in the hot profile of the reader's read-acquire applying it;
+- the same gate on a pointer-rich update — ``REPRO_BENCH_DATASIZE_RECORDS``
+  (16384) ``{int; double; string<32>; node*}`` records, the release-path
+  benchmark's ``pointer_records`` shape, 1/8 of them rewritten and
+  relinked: none of those names and no function called once per *unit*
+  in the hot profile of the writer's release, of the server applying
+  that diff, or of a SPARC reader's read-acquire.
 
 Results land in ``BENCH_datasize.json`` at the repo root plus a metrics
 sidecar in ``benchmarks/out/``.  Every phase is deadline-guarded
@@ -72,6 +78,10 @@ from repro import InProcHub, InterWeaveClient, InterWeaveServer, VirtualClock
 from repro.arch import SPARC_V9, X86_32, PrimKind
 from repro.obs import get_registry, write_sidecar
 from repro.rpc import XDRTranslator
+from repro.server.segment_state import ServerSegment
+from repro.types import (DOUBLE, INT, ArrayDescriptor, Field,
+                         PointerDescriptor, RecordDescriptor, StringDescriptor)
+from repro.wire import decode_segment_diff
 
 #: working-set sizes in MiB (the paper ran at 1; 8 and 32 are the
 #: "production data sizes" this data plane is built for)
@@ -88,6 +98,9 @@ DEADLINE_SECONDS = float(os.environ.get("REPRO_BENCH_DATASIZE_DEADLINE",
                                         "300"))
 #: the size the profile gates run at
 PROFILE_MB = 8
+#: records in the pointer-rich profile gate, and the share rewritten
+POINTER_RECORDS = int(os.environ.get("REPRO_BENCH_DATASIZE_RECORDS", "16384"))
+POINTER_TOUCHED_SHARE = 8
 #: the deleted pre-columnar data plane's last measurement, verbatim from
 #: the BENCH_datasize.json committed with it (``speedup`` is against that
 #: run's 8 MB zero-copy point)
@@ -240,6 +253,14 @@ def _hot_profile(profiler: cProfile.Profile, call_limit: int) -> dict:
             "call_limit": call_limit}
 
 
+def _profiled(call) -> cProfile.Profile:
+    profiler = cProfile.Profile()
+    profiler.enable()
+    call()
+    profiler.disable()
+    return profiler
+
+
 def _profile_update(data_bytes: int, deadline: _Deadline) -> dict:
     """cProfile one scattered update at both ends: the writer's release
     (nothing may loop once per word) and a big-endian reader's
@@ -256,20 +277,82 @@ def _profile_update(data_bytes: int, deadline: _Deadline) -> dict:
         writer.wl_acquire(workload.segment)
         _modify_scattered(workload, salt=99)
         deadline.check("profiled release")
-        release = cProfile.Profile()
-        release.enable()
-        writer.wl_release(workload.segment)
-        release.disable()
+        release = _profiled(lambda: writer.wl_release(workload.segment))
         deadline.check("profiled read-acquire")
-        read = cProfile.Profile()
-        read.enable()
-        reader.rl_acquire(cached)
-        read.disable()
+        read = _profiled(lambda: reader.rl_acquire(cached))
         if cached.version != workload.segment.version:
             raise RuntimeError("profiled read-acquire applied no update")
         reader.rl_release(cached)
     return {"release": _hot_profile(release, call_limit=words),
             "read_acquire": _hot_profile(read, call_limit=-(-words // RATIO))}
+
+
+def _covered_units(diff) -> int:
+    return sum(block.columns.covered_units() for block in diff.block_diffs)
+
+
+def _profile_pointer_update(records: int, deadline: _Deadline) -> dict:
+    """cProfile one relinking write over an array of pointer/string
+    records at its three translate sites: the writer's release, the
+    server's apply of that diff (replayed on a second copy of the
+    segment, so the profile holds nothing else) and a big-endian
+    reader's read-acquire.  Nothing may loop once per unit."""
+    link = PointerDescriptor(target_name="node_t")
+    node = RecordDescriptor("node_t", [
+        Field("key", INT), Field("w", DOUBLE),
+        Field("label", StringDescriptor(32)), Field("next", link)])
+    link.target = node
+    rng = np.random.default_rng(16)
+
+    def rewrite(array, index: int, salt: int) -> None:
+        record = array[index]
+        record.key = index + salt
+        record.label = f"label-{index:06d}-{salt:04d}-{'x' * 8}"
+        record.next = array.element_accessor(int(rng.integers(records)))
+
+    with tempfile.TemporaryDirectory(prefix="bench-datasize-") as tmp:
+        world = _make_world(tmp)
+        writer = world.client
+        segment = writer.open_segment("bench/pointer_records")
+        writer.wl_acquire(segment)
+        array = writer.malloc(segment, ArrayDescriptor(node, records), name="nodes")
+        for index in range(records):
+            rewrite(array, index, salt=0)
+            array[index].w = index * 0.5
+        writer.wl_release(segment)
+        deadline.check("pointer segment set-up")
+        reader = world.new_client("reader", SPARC_V9)
+        cached = reader.open_segment(segment.name, create=False)
+        reader.rl_acquire(cached)
+        reader.rl_release(cached)
+        writer.wl_acquire(segment)
+        for index in rng.choice(records, records // POINTER_TOUCHED_SHARE,
+                                replace=False).tolist():
+            rewrite(array, index, salt=1)
+        release = _profiled(lambda: writer.wl_release(segment))
+        deadline.check("profiled pointer release")
+        # the server's apply alone: bring a second copy of the segment to the
+        # version before, from the diffs the server cached, and apply the last
+        *earlier, (_, _, last) = sorted(
+            world.server.diff_cache.entries_for(segment.name))
+        shadow = ServerSegment(segment.name)
+        for _, _, encoded in earlier:
+            shadow.apply_client_diff(decode_segment_diff(encoded))
+        diff = decode_segment_diff(last)
+        server_apply = _profiled(lambda: shadow.apply_client_diff(diff))
+        state = world.server.segments[segment.name].state
+        update_units = _covered_units(state.build_update(cached.version))
+        read = _profiled(lambda: reader.rl_acquire(cached))
+        deadline.check("profiled pointer read-acquire")
+        if cached.version != segment.version or shadow.version != segment.version:
+            raise RuntimeError("a profiled pointer update applied nothing")
+        reader.rl_release(cached)
+    return {"release": _hot_profile(release, call_limit=_covered_units(diff)),
+            "server_apply": _hot_profile(server_apply,
+                                         call_limit=_covered_units(diff)),
+            "read_acquire": _hot_profile(read, call_limit=update_units),
+            "records": records, "diff_units": _covered_units(diff),
+            "update_units": update_units}
 
 
 def run_all() -> dict:
@@ -302,10 +385,14 @@ def run_all() -> dict:
     deadline = _Deadline(f"datasize-profile-{profile_mb}MB")
     profile = _profile_update(profile_mb << 20, deadline=deadline)
 
+    pointer_profile = _profile_pointer_update(
+        POINTER_RECORDS, _Deadline("datasize-profile-pointers"))
+
     results = {
         "points": points,
         "legacy_baseline": LEGACY_BASELINE,
         "profile_gate": profile,
+        "profile_gate_pointers": pointer_profile,
         "config": {
             "points_mb": POINTS_MB,
             "change_ratio": RATIO,
@@ -359,6 +446,16 @@ def test_no_per_word_python_loop_in_profile():
         assert not gate["offenders"], (end, gate["offenders"])
 
 
+def test_no_per_unit_python_loop_in_pointer_profile():
+    """Nor may a per-unit loop appear where strings and pointers are
+    translated: the writer's release, the server's apply, and a SPARC
+    reader's read-acquire of a relinking write over 16k records."""
+    gates = _results()["profile_gate_pointers"]
+    assert gates["diff_units"] >= gates["records"] // POINTER_TOUCHED_SHARE
+    for end in ("release", "server_apply", "read_acquire"):
+        assert not gates[end]["offenders"], (end, gates[end]["offenders"])
+
+
 def test_results_file_written():
     _results()
     with open(RESULTS_PATH) as handle:
@@ -388,10 +485,15 @@ def main() -> None:
           f"{baseline['recorded_at_commit']}, since deleted): "
           f"{baseline['release_s'] * 1e3:.1f} ms/release "
           f"(amp {baseline['copy_amplification']:.2f}x)")
-    for end, gate in results["profile_gate"].items():
-        print(f"profile gate ({end}): top-{gate['top_n']} clean"
+    pointers = results["profile_gate_pointers"]
+    gates = [(f"int array, {end}", gate)
+             for end, gate in results["profile_gate"].items()]
+    gates += [(f"{pointers['records']} pointer records, {end}", pointers[end])
+              for end in ("release", "server_apply", "read_acquire")]
+    for label, gate in gates:
+        print(f"profile gate ({label}): top-{gate['top_n']} clean"
               if not gate["offenders"] else
-              f"profile gate ({end}): OFFENDERS {gate['offenders']}")
+              f"profile gate ({label}): OFFENDERS {gate['offenders']}")
     print(f"[results -> {os.path.relpath(RESULTS_PATH)}]")
 
 

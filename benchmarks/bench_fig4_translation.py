@@ -18,8 +18,17 @@ deep copies and padding hurt); collect_block beats collect_diff (~39% in
 the paper) because diffing pays for word comparison; apply_block edges
 apply_diff (~4%).
 
+``test_batched_floor`` is not a figure but a floor under three of its
+rows, independent of the hardware: whole-block collect and apply of
+``small_string``, ``pointer`` and ``mix`` must each run at least
+``BATCHED_FLOOR`` times faster than the same call sent through the
+per-unit reference loop, sides alternated, best of five.
+
 Run: ``pytest benchmarks/bench_fig4_translation.py --benchmark-only``
 """
+
+import time
+from unittest import mock
 
 import pytest
 
@@ -38,8 +47,12 @@ from conftest import ROUNDS
 
 from repro.client.apply import apply_update
 from repro.rpc import XDRTranslator
+from repro.wire import translate
 
 WORKLOADS = workload_names()
+#: batched translation over the per-unit loop, whole blocks of 256 KiB
+#: (measured 8x to 16x; see EXPERIMENTS.md, Figure 4)
+BATCHED_FLOOR = 5.0
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +181,39 @@ def test_rpc_xdr_unmarshal(benchmark, workloads, name):
                                      allocator=allocator),
         setup=setup, rounds=ROUNDS, iterations=1)
     benchmark.group = f"fig4-{name}"
+
+
+@pytest.mark.parametrize("name", ["small_string", "pointer", "mix"])
+def test_batched_floor(workloads, name):
+    workload = workloads[name]
+    diff = make_update_diff(workload, diffed=False)
+    reader, segment = make_reader(workload, name=f"rf-{name}")
+
+    def collect():
+        begin_dirty_session(workload)
+        started = time.perf_counter()
+        collect_session(workload, use_diffing=False)
+        elapsed = time.perf_counter() - started
+        abort_session(workload)
+        return elapsed
+
+    def apply():
+        started = time.perf_counter()
+        apply_update(reader.tctx, segment.heap, segment.registry, diff,
+                     first_cache=False)
+        return time.perf_counter() - started
+
+    def per_unit(call):
+        with mock.patch.object(translate, "_batched", lambda *args: False):
+            return call()
+
+    for call in (collect, apply):
+        batched, reference = [], []
+        for round_ in range(5):
+            if round_ % 2:  # sides alternated
+                reference.append(per_unit(call))
+            batched.append(call())
+            if not round_ % 2:
+                reference.append(per_unit(call))
+        assert min(reference) >= BATCHED_FLOOR * min(batched), (
+            name, call.__name__, min(reference), min(batched))

@@ -15,6 +15,12 @@ complex cross-segment pointers swizzle at about a million per second (on
 2003 hardware; the Python constant factor is larger, the growth curve is
 what matters).
 
+``batchedN`` is the same question asked the way translation asks it: one
+call of the client's batch hooks on ``BATCH`` pointers spread over all N
+blocks of ``crossN`` — ``searchsorted`` over the sorted block index one
+way, a dictionary of the index's ``segment#serial`` heads the other, the
+byte offset <-> primitive unit step through the layout in array form.
+
 Run: ``pytest benchmarks/bench_fig6_swizzling.py --benchmark-only``
 """
 
@@ -73,6 +79,18 @@ def _cross_segment(world, total_blocks: int) -> int:
     return target.address
 
 
+#: pointers per call of the batch hooks
+BATCH = 65536
+
+
+def batched_addresses(world, total_blocks: int, count: int = BATCH):
+    """``count`` element addresses cycling over every block of crossN:
+    whatever N, a quarter point at a block's first unit, the rest inside."""
+    segment = world.client.segments[f"bench/cross{total_blocks}"]
+    blocks = [block.address for block in segment.heap.blocks()]
+    return [blocks[k % total_blocks] + 4 * (k % 4) for k in range(count)]
+
+
 @pytest.fixture(scope="module")
 def cross_targets(world):
     return {size: _cross_segment(world, size) for size in CROSS_SIZES}
@@ -103,3 +121,17 @@ def test_struct1(benchmark, world, struct1, which):
 def test_cross_segment(benchmark, world, cross_targets, size, which):
     _bench_pair(benchmark, world.client, cross_targets[size],
                 f"cross{size:05d}", which)
+
+
+@pytest.mark.parametrize("size", CROSS_SIZES)
+@pytest.mark.parametrize("which", ["collect", "apply"])
+def test_batched(benchmark, world, cross_targets, size, which):
+    client = world.client
+    addresses = batched_addresses(world, size)
+    texts = client._pointers_to_mips(addresses)  # builds the block index
+    if which == "collect":
+        benchmark(lambda: client._pointers_to_mips(addresses))
+    else:
+        benchmark(lambda: client._mips_to_pointers(texts))
+    benchmark.group = f"fig6-batched{size:05d}"
+    benchmark.extra_info["pointers"] = BATCH

@@ -167,7 +167,8 @@ def fig5():
 
 
 def fig6():
-    from bench_fig6_swizzling import CROSS_SIZES, _cross_segment
+    from bench_fig6_swizzling import (BATCH, CROSS_SIZES, _cross_segment,
+                                      batched_addresses)
 
     print("\n== Figure 6: pointer swizzling cost (microseconds per pointer) ==")
     print(f"{'case':>12s} {'collect(swizzle)':>17s} {'apply(unswizzle)':>17s}")
@@ -205,6 +206,23 @@ def fig6():
         print(f"{label:>12s} {collect:17.2f} {apply_cost:17.2f}")
     print("shape checks: modest growth with segment size (tree searches); "
           "int 1 cheapest")
+
+    print(f"\n-- batch hooks: {BATCH} pointers per call "
+          "(million pointers per second) --")
+    print(f"{'target blocks':>14s} {'collect':>9s} {'apply':>9s}")
+    rates = {}
+    for size in CROSS_SIZES:
+        addresses = batched_addresses(world, size)
+        texts = client._pointers_to_mips(addresses)  # builds the block index
+        rates[size] = [BATCH / best_of(call) / 1e6 for call in (
+            lambda: client._pointers_to_mips(addresses),
+            lambda: client._mips_to_pointers(texts))]
+        print(f"{size:14d} {rates[size][0]:9.2f} {rates[size][1]:9.2f}")
+    first, last = rates[CROSS_SIZES[0]], rates[CROSS_SIZES[-1]]
+    print("shape checks: rate at %d blocks / rate at %d blocks = "
+          "%.2f collect, %.2f apply (paper: flat)"
+          % (CROSS_SIZES[0], CROSS_SIZES[-1], first[0] / last[0],
+             first[1] / last[1]))
 
 
 def fig7():

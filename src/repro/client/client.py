@@ -26,6 +26,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Union
 
+import numpy as np
+
 from repro.arch import Architecture
 from repro.client.apply import ApplyStats, apply_update
 from repro.client.collect import CollectTimers, collect_write_diff
@@ -155,6 +157,14 @@ class Segment:
         return f"Segment({self.name!r} v{self.version})"
 
 
+#: batch size up to which looping over the scalar swizzle hooks (one AVL
+#: descent each) beats one array pass over the block index.  Measured,
+#: scalar vs indexed microseconds, pointers into int arrays: 8 pointers
+#: 28 vs 33, 16: 54 vs 34; into 4-field records: 16: 51 vs 69, 32: 101
+#: vs 73, 256: 795 vs 132 (unswizzling alike).
+_SCALAR_SWIZZLE_MAX = 16
+
+
 def _locked(method):
     """Serialize one public API call against the client's metadata.
 
@@ -233,9 +243,11 @@ class InterWeaveClient:
         self.accessor_context = AccessorContext(self.memory, arch)
         self.tctx = TranslationContext(
             self.memory, arch,
-            pointer_to_mip=self._pointer_to_mip,
-            mip_to_pointer=self._mip_to_pointer,
+            swizzle=self._pointers_to_mips,
+            unswizzle=self._mips_to_pointers,
             metrics=self.metrics)
+        #: _block_index's arrays, with the heap epoch they hold for
+        self._index = (0, ((), (), [], {}, (), []))
 
     # ------------------------------------------------------------------
     # segment management
@@ -738,6 +750,96 @@ class InterWeaveClient:
                              self.options.enable_isomorphic)
         _, _, local = layout.prim_to_local(mip.offset)
         return block.address + local
+
+    def _block_index(self, batch: int):
+        """Every cached block of every segment in address order, for
+        swizzling ``batch`` pointers at once: address bounds as arrays,
+        each block's MIP head ``segment#serial`` and the head's position,
+        and one layout per type of each segment with each block's index
+        into them.  None when a loop over the scalar hooks is cheaper: for
+        a handful of pointers, or when the index is out of date and the
+        batch is too small to pay for walking every block (measured: 0.7
+        microseconds a block against 3.3 a pointer — 64 pointers after
+        a malloc among 16,384 blocks cost 11.7 ms rebuilding, 0.23 not)."""
+        if batch <= _SCALAR_SWIZZLE_MAX:
+            return None
+        epoch, index = self._index
+        if epoch != self.heap_root.epoch:
+            subsegments = [subsegment for _, subsegment
+                           in self.heap_root.subseg_addr_tree.items()]
+            if 4 * batch < sum(len(subsegment.blk_addr_tree)
+                               for subsegment in subsegments):
+                return None
+            blocks = [block for subsegment in subsegments
+                      for _, block in subsegment.blk_addr_tree.items()]
+            layouts, groups = [], {}  # a segment's type serial names one layout
+            for block in blocks:
+                key = (block.subsegment.segment_heap, block.type_serial)
+                if key not in groups:
+                    groups[key] = len(layouts)
+                    layouts.append(flat_layout(block.descriptor, self.arch,
+                                               self.options.enable_isomorphic))
+            heads = [f"{block.subsegment.segment_heap.name}#{block.serial}".encode("utf-8")
+                     for block in blocks]
+            index = (
+                np.array([block.address for block in blocks], np.int64),
+                np.array([block.end for block in blocks], np.int64),
+                heads, {head: position for position, head in enumerate(heads)},
+                np.array([groups[block.subsegment.segment_heap, block.type_serial]
+                          for block in blocks], np.int64),
+                layouts)
+            self._index = (self.heap_root.epoch, index)
+        return index if index[2] else None
+
+    def _pointers_to_mips(self, addresses: List[int]) -> List[bytes]:
+        index = self._block_index(len(addresses))
+        if index is None:
+            return [self._pointer_to_mip(address).encode("utf-8")
+                    for address in addresses]
+        starts, ends, heads, _, groups, layouts = index
+        addresses = np.array(addresses, np.int64)
+        at = np.searchsorted(starts, addresses, side="right") - 1
+        inside = (at >= 0) & (addresses < ends[at])
+        prims = np.full(at.size, -1, np.int64)
+        group_of = np.where(inside, groups[at], -1)
+        for group, layout in enumerate(layouts):
+            members = np.flatnonzero(group_of == group)
+            prims[members] = layout.units_at(addresses[members] - starts[at[members]])
+        if prims.min() < 0:
+            raise MIPError(f"address {int(addresses[prims.argmin()]):#x} is not "
+                           "in a block of a shared segment, or points into padding")
+        return [heads[block] + b"#%d" % prim if prim else heads[block]
+                for block, prim in zip(at.tolist(), prims.tolist())]
+
+    def _mips_to_pointers(self, texts: List[bytes]) -> List[int]:
+        index = self._block_index(len(texts))
+        if index is None:
+            return [self._mip_to_pointer(text.decode("utf-8")) for text in texts]
+        starts, _, _, where, groups, layouts = index
+        at = list(map(where.get, texts))  # hits name a block's first unit
+        prims = [0] * len(texts)
+        rest = []  # a block name, a segment not cached yet, or malformed
+        for position, text in enumerate(texts):
+            if at[position] is None:
+                head, _, prim = text.rpartition(b"#")
+                at[position] = where.get(head)
+                if at[position] is None or not prim.isdigit() or len(prim) > 18:
+                    at[position] = 0
+                    rest.append(position)
+                else:
+                    prims[position] = int(prim)
+        at, prims = np.array(at, np.int64), np.array(prims, np.int64)
+        pointers = starts[at]
+        inner = np.flatnonzero(prims)
+        for group, layout in enumerate(layouts):
+            members = inner[groups[at[inner]] == group]
+            which, local = layout.locate_units(prims[members])
+            rest.extend(members[which < 0].tolist())  # for the hook's own error
+            pointers[members] += local
+        pointers = pointers.tolist()
+        for position in rest:
+            pointers[position] = self._mip_to_pointer(texts[position].decode("utf-8"))
+        return pointers
 
     def _ensure_cached(self, segment_name: str) -> Segment:
         segment = self.segments.get(segment_name)

@@ -58,11 +58,7 @@ def begin(client, segment) -> None:
 
 def defer_free(client, segment, block: BlockInfo) -> None:
     """Hide a block until commit; abort brings it back untouched."""
-    heap = segment.heap
-    del heap.blk_number_tree[block.serial]
-    if block.name is not None:
-        del heap.blk_name_tree[block.name]
-    del block.subsegment.blk_addr_tree[block.address]
+    segment.heap.unlink(block)
     segment.transaction.deferred_frees.append(block)
 
 
@@ -73,10 +69,7 @@ def commit(client, segment) -> None:
     heap = segment.heap
     for block in transaction.deferred_frees:
         # re-link just long enough for the ordinary free path to run
-        heap.blk_number_tree[block.serial] = block
-        if block.name is not None:
-            heap.blk_name_tree[block.name] = block
-        block.subsegment.blk_addr_tree[block.address] = block
+        heap.link(block)
         heap.free(block)
         segment.freed.append(block.serial)
     client.wl_release(segment)
@@ -107,10 +100,7 @@ def abort(client, segment) -> None:
 
     # 3. resurrect deferred frees
     for block in transaction.deferred_frees:
-        heap.blk_number_tree[block.serial] = block
-        if block.name is not None:
-            heap.blk_name_tree[block.name] = block
-        block.subsegment.blk_addr_tree[block.address] = block
+        heap.link(block)
     segment.freed = []
 
     # 4. release the server-side write lock without a diff

@@ -120,6 +120,10 @@ class Heap:
     def __init__(self, address_space: AddressSpace):
         self.address_space = address_space
         self.subseg_addr_tree = AVLTree()
+        #: moves whenever the set of blocks lookups can find changes (a
+        #: block linked or unlinked, a subsegment unmapped), so anything
+        #: derived from that set can tell when it went stale
+        self.epoch = 0
 
     def find_subsegment(self, address: int) -> Optional[SubSegment]:
         """The subsegment spanning ``address``, or None."""
@@ -134,6 +138,7 @@ class Heap:
 
     def _unregister(self, subsegment: SubSegment) -> None:
         del self.subseg_addr_tree[subsegment.base]
+        self.epoch += 1  # its blocks went with it
 
 
 class SegmentHeap:
@@ -196,21 +201,31 @@ class SegmentHeap:
             raise SegmentError(f"segment {self.name!r}: chunk outside own subsegments")
         block = BlockInfo(serial, name, address, data_size, descriptor, type_serial,
                           subsegment, chunk_size, version)
-        self.blk_number_tree[serial] = block
-        if name is not None:
-            self.blk_name_tree[name] = block
-        subsegment.blk_addr_tree[address] = block
+        self.link(block)
         return block
+
+    def link(self, block: BlockInfo) -> None:
+        """Make a block findable by serial, name and address."""
+        self.blk_number_tree[block.serial] = block
+        if block.name is not None:
+            self.blk_name_tree[block.name] = block
+        block.subsegment.blk_addr_tree[block.address] = block
+        self.heap.epoch += 1
+
+    def unlink(self, block: BlockInfo) -> None:
+        """Hide a block from every lookup; its storage stays allocated."""
+        del self.blk_number_tree[block.serial]
+        if block.name is not None:
+            del self.blk_name_tree[block.name]
+        del block.subsegment.blk_addr_tree[block.address]
+        self.heap.epoch += 1
 
     def free(self, block: BlockInfo) -> None:
         """Return a block's chunk to the free list (coalescing neighbours)."""
         existing = self.blk_number_tree.get(block.serial)
         if existing is not block:
             raise BlockError(f"segment {self.name!r}: block #{block.serial} not live")
-        del self.blk_number_tree[block.serial]
-        if block.name is not None:
-            del self.blk_name_tree[block.name]
-        del block.subsegment.blk_addr_tree[block.address]
+        self.unlink(block)
         self._free_chunk(block.address - BLOCK_HEADER_SIZE, block.chunk_size)
 
     # -- lookups --------------------------------------------------------------------

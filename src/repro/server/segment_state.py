@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.arch import Architecture
-from repro.errors import ServerError
+from repro.errors import MIPError, ServerError, WireFormatError
 from repro.memory import AddressSpace, Heap, SegmentHeap
 from repro.types import TypeRegistry, flat_layout
 from repro.types.layout import merge_run_arrays
@@ -37,7 +37,7 @@ from repro.wire import (
     RunColumns,
     SegmentDiff,
     TranslationContext,
-    collect_range,
+    parse_mip,
 )
 from repro.wire.translate import apply_runs, collect_runs
 
@@ -81,9 +81,9 @@ class ServerSegment:
     and the read-side entry points (``build_update``, ``build_skeleton``,
     ``read_block_wire``, the size properties) may run concurrently with
     each other under the *read* lock.  The split is sound because MIP
-    interning (``_mip_to_slot``, the only mutation beyond the obvious
+    interning (``_mips_to_slots``, the only mutation beyond the obvious
     ones) happens exclusively while *applying* diffs — collection only
-    resolves existing slots through ``_slot_to_mip``, which is read-only.
+    resolves existing slots through ``_slots_to_mips``, which is read-only.
     """
 
     def __init__(self, name: str, heap: Optional[Heap] = None):
@@ -96,9 +96,12 @@ class ServerSegment:
         from repro.server.version_list import VersionList
 
         self.version_list = VersionList()
-        #: out-of-line storage for MIPs (pointer slots index into this)
-        self.mip_store: List[str] = []
-        self._mip_intern: Dict[str, int] = {}
+        #: out-of-line storage for MIPs (pointer slots index into this),
+        #: as the UTF-8 bytes they have on the wire: the server stores
+        #: and compares MIPs, and parses one only to check it, when it
+        #: first arrives
+        self.mip_store: List[bytes] = []
+        self._mip_intern: Dict[bytes, int] = {}
         #: (version, serial) tombstones so stale clients learn about frees
         self.freed_log: List[Tuple[int, int]] = []
         #: (version, type serial) so updates carry types the client lacks
@@ -110,24 +113,33 @@ class ServerSegment:
         self.compact_floor = 0
         self._tctx = TranslationContext(
             self.heap_root.address_space, SERVER_ARCH,
-            pointer_to_mip=self._slot_to_mip,
-            mip_to_pointer=self._mip_to_slot)
+            swizzle=self._slots_to_mips, unswizzle=self._mips_to_slots)
 
     # -- MIP out-of-line store ------------------------------------------------
 
-    def _slot_to_mip(self, slot: int) -> str:
+    def _slots_to_mips(self, slots: List[int]) -> List[bytes]:
         try:
-            return self.mip_store[slot - 1]
+            return [self.mip_store[slot - 1] for slot in slots]
         except IndexError:
-            raise ServerError(f"segment {self.name!r}: bad MIP slot {slot}") from None
+            raise ServerError(f"segment {self.name!r}: bad MIP slot "
+                              f"(store holds {len(self.mip_store)})") from None
 
-    def _mip_to_slot(self, mip: str) -> int:
-        slot = self._mip_intern.get(mip)
-        if slot is None:
-            self.mip_store.append(mip)
-            slot = len(self.mip_store)
-            self._mip_intern[mip] = slot
-        return slot
+    def _mips_to_slots(self, mips: List[bytes]) -> List[int]:
+        slots = list(map(self._mip_intern.get, mips))
+        if None in slots:
+            new = dict.fromkeys(
+                mip for mip, slot in zip(mips, slots) if slot is None)
+            for mip in new:  # outside input: checked once, before any is kept
+                try:
+                    parse_mip(mip.decode("utf-8"))
+                except (UnicodeDecodeError, MIPError) as error:
+                    raise WireFormatError(f"segment {self.name!r}: bad MIP "
+                                          f"{mip!r}: {error}") from None
+            for mip in new:
+                self.mip_store.append(mip)
+                self._mip_intern[mip] = len(self.mip_store)
+            slots = [self._mip_intern[mip] for mip in mips]
+        return slots
 
     # -- size accounting ----------------------------------------------------------
 
@@ -361,7 +373,8 @@ class ServerSegment:
         if block is None:
             raise ServerError(f"segment {self.name!r}: no block {serial}")
         layout = flat_layout(block.info.descriptor, SERVER_ARCH)
-        return collect_range(self._tctx, layout, block.info.address, 0, block.prim_count)
+        return collect_runs(self._tctx, layout, block.info.address,
+                            [0], [block.prim_count]).data
 
     def read_block_values(self, serial: int) -> list:
         """A block's contents decoded to plain Python values (JSON gateway).

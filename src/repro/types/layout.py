@@ -39,6 +39,11 @@ from repro.types.descriptor import (
     TypeDescriptor,
 )
 
+#: Range count up to which the scalar byte-range mapper beats the array
+#: pass over a uniform layout's instances (measured, microseconds: 8
+#: ranges 30 vs 117, 32: 97 vs 118, 64: 190 vs 118, 256: 771 vs 125).
+_SCALAR_RANGES_MAX = 32
+
 #: Wire size of a variable unit's length header (strings and MIPs are sent
 #: as a 4-byte length followed by that many bytes).
 VAR_LEN_HEADER = 4
@@ -356,8 +361,9 @@ class FlatLayout:
         parallel numpy arrays (prim_starts, prim_counts), normalized.
 
         The single-dense-run layout (flat arrays — the diff-heavy case)
-        takes a pure-array path; other layouts fall back to the scalar
-        mapper per range.
+        and, above a few ranges, uniform repeated layouts (arrays of
+        records) take pure-array paths; other layouts fall back to the
+        scalar mapper per range.
         """
         import numpy as np
 
@@ -380,6 +386,10 @@ class FlatLayout:
             ends = run.prim_start + j_hi[valid]
             starts, ends = merge_run_arrays(starts, ends)
             return starts, ends - starts
+        if self.uniform and self.repeat > 1 and byte_los.size > _SCALAR_RANGES_MAX:
+            return self._instance_runs_for_byte_ranges(
+                np.clip(byte_los, 0, self.local_size),
+                np.clip(byte_his, 0, self.local_size))
         collected = []
         for lo, hi in zip(byte_los.tolist(), byte_his.tolist()):
             collected.extend(self.prim_runs_for_byte_range(lo, hi))
@@ -389,6 +399,72 @@ class FlatLayout:
         starts = np.fromiter((s for s, _ in normalized), np.int64, len(normalized))
         counts = np.fromiter((c for _, c in normalized), np.int64, len(normalized))
         return starts, counts
+
+    def _instance_runs_for_byte_ranges(self, los, his):
+        """The uniform-layout case of :meth:`prim_runs_for_byte_ranges`:
+        whole instances inside a range are one dense unit run, and the
+        partial first/last instances of every range go through each
+        layout run once, as arrays of in-instance byte windows."""
+        import numpy as np
+
+        size, prims = self.instance_size, self.instance_prims
+        los, his = los[los < his], his[los < his]
+        first, last = los // size, (his - 1) // size
+        full_lo = first + (los != first * size)
+        full_hi = last + (his == (last + 1) * size)
+        whole = full_lo < full_hi
+        head = (first < full_lo) | (first >= full_hi)
+        tail = (last >= full_hi) & (last != first)
+        inst = np.concatenate((first[head], last[tail]))
+        lo = np.maximum(np.concatenate((los[head], los[tail])) - inst * size, 0)
+        hi = np.minimum(np.concatenate((his[head], his[tail])) - inst * size, size)
+        starts, ends = [full_lo[whole] * prims], [full_hi[whole] * prims]
+        for run in self.runs:
+            width = run.unit_count * run.unit_size
+            j_lo = np.clip(lo - run.local_start, 0, width) // run.unit_size
+            j_hi = -(-np.clip(hi - run.local_start, 0, width) // run.unit_size)
+            hit = j_lo < j_hi
+            origin = inst[hit] * prims + run.prim_start
+            starts.append(origin + j_lo[hit])
+            ends.append(origin + j_hi[hit])
+        starts, ends = np.concatenate(starts), np.concatenate(ends)
+        order = np.argsort(starts, kind="stable")
+        # two ranges can each cover part of one unit: keep ends monotone
+        starts, ends = merge_run_arrays(
+            starts[order], np.maximum.accumulate(ends[order]))
+        return starts, ends - starts
+
+    def locate_units(self, prims):
+        """Array form of :meth:`prim_to_local`: for an int64 array of
+        primitive offsets, (index into ``runs``, local byte offset) per
+        unit; the index is -1 where the offset is outside the block."""
+        return self._map_units(prims, to_local=True)
+
+    def units_at(self, byte_offsets):
+        """Array form of :meth:`local_to_prim`: the primitive offset of
+        the unit holding each local byte offset, -1 for padding or
+        offsets outside the block."""
+        return self._map_units(byte_offsets, to_local=False)[1]
+
+    def _map_units(self, offsets, to_local: bool):
+        import numpy as np
+
+        which = np.full(offsets.shape, -1, np.int16)
+        mapped = np.full(offsets.shape, -1, np.int64)
+        for index, run in enumerate(self.runs):
+            near = (run.prim_start, run.prim_stride, 1)
+            far = (run.local_start, run.local_stride, run.unit_size)
+            (start, stride, unit), (to_start, to_stride, to_unit) = (
+                (near, far) if to_local else (far, near))
+            delta = offsets - start
+            i = delta // stride
+            j = (delta - i * stride) // unit
+            # a negative i (an offset before the run) is huge as unsigned
+            hit = np.flatnonzero(
+                (i.view(np.uint64) < run.repeat) & (j < run.unit_count))
+            which[hit] = index
+            mapped[hit] = to_start + i[hit] * to_stride + j[hit] * to_unit
+        return which, mapped
 
     def _scan_runs(self, byte_lo: int, byte_hi: int,
                    inst_lo: Optional[int], inst_hi: Optional[int]) -> List[Tuple[int, int]]:

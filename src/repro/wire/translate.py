@@ -14,22 +14,30 @@ Wire format of a run of primitive units, in primitive-offset order:
 - pointers: a 4-byte length followed by the MIP text (swizzled from the
   local machine address by the caller-provided hook), empty for NULL.
 
-Three execution strategies, chosen per layout:
+Execution strategies, chosen per call from the layout and the input:
 
 1. **dense** — all runs are repeat-1 and fixed-size (flat arrays, records
-   of scalars): one vectorized byteswap-copy per run intersection;
+   of scalars): one vectorized byteswap-copy per run intersection, or,
+   for a diff of more than ``_PER_RUN_MAX`` runs over a single dense
+   run, one gather/scatter for the whole diff;
 2. **strided** — a uniform layout of repeated instances (array of
    records), all fixed-size: full instances are translated with strided
    numpy gathers/scatters, partial head/tail instances per-unit;
-3. **per-unit** — anything containing strings or pointers, or irregular
-   geometry: a Python loop over units (inherently slower — exactly the
-   workloads the paper's Figure 4 shows as expensive even in C).
+3. **batched** — a layout with strings or pointers, when the call covers
+   more than ``_PER_UNIT_MAX`` units: every unit of every run is placed
+   (layout run, local offset, wire offset) by array arithmetic, each
+   layout run's units move as one byte matrix, pointers cross the
+   swizzle hook as one batch, and apply validates everything before its
+   single store;
+4. **per-unit** — the same layouts below that size, and irregular
+   fixed-size geometry: a Python loop over units.  It is also the
+   reference the batched path is tested against.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +45,7 @@ from repro.arch import WIRE_SIZES, Architecture, PrimKind
 from repro.errors import WireFormatError
 from repro.memory.mmu import AddressSpace
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.types import FlatLayout, iter_units
-from repro.wire.codec import count_bytes_copied
+from repro.types import VAR_LEN_HEADER, FlatLayout, iter_units
 from repro.wire.diff import RunColumns
 
 #: Length-header codec for variable-size units (strings and MIPs).
@@ -48,23 +55,25 @@ _LEN = struct.Struct(">I")
 class TranslationContext:
     """Memory + architecture + pointer swizzling hooks.
 
-    ``pointer_to_mip(address) -> str`` is consulted when collecting a
-    pointer unit (local -> wire); ``mip_to_pointer(text) -> int`` when
-    applying one (wire -> local).  They default to hooks that reject any
-    non-NULL pointer, which is correct for pointer-free data.
+    The translator swizzles in batches.  ``swizzle(addresses) -> [bytes]``
+    maps a list of non-NULL local addresses to UTF-8 MIP texts at collect
+    (local -> wire); ``unswizzle(texts) -> addresses`` maps a list of
+    non-empty MIP texts back at apply (wire -> local).  They default to
+    hooks that reject any non-NULL pointer, which is correct for
+    pointer-free data.
     """
 
-    __slots__ = ("memory", "arch", "pointer_to_mip", "mip_to_pointer",
+    __slots__ = ("memory", "arch", "swizzle", "unswizzle",
                  "_m_swizzled", "_m_unswizzled")
 
     def __init__(self, memory: AddressSpace, arch: Architecture,
-                 pointer_to_mip: Optional[Callable[[int], str]] = None,
-                 mip_to_pointer: Optional[Callable[[str], int]] = None,
+                 swizzle: Optional[Callable[[List[int]], List[bytes]]] = None,
+                 unswizzle: Optional[Callable[[List[bytes]], Sequence[int]]] = None,
                  metrics: Optional[MetricsRegistry] = None):
         self.memory = memory
         self.arch = arch
-        self.pointer_to_mip = pointer_to_mip or _reject_pointer
-        self.mip_to_pointer = mip_to_pointer or _reject_mip
+        self.swizzle = swizzle or _reject_pointers
+        self.unswizzle = unswizzle or _reject_mips
         metrics = metrics or get_registry()
         self._m_swizzled = metrics.counter(
             "wire.swizzle.pointers_to_mips", "pointers swizzled at collect")
@@ -72,13 +81,13 @@ class TranslationContext:
             "wire.swizzle.mips_to_pointers", "MIPs unswizzled at apply")
 
 
-def _reject_pointer(address: int) -> str:
-    raise WireFormatError(
-        f"pointer value {address:#x} encountered but no swizzle hook installed")
+def _reject_pointers(addresses: List[int]) -> List[bytes]:
+    raise WireFormatError(f"pointer value {addresses[0]:#x} encountered "
+                          "but no swizzle hook installed")
 
 
-def _reject_mip(text: str) -> int:
-    raise WireFormatError(f"MIP {text!r} encountered but no unswizzle hook installed")
+def _reject_mips(texts: List[bytes]) -> List[int]:
+    raise WireFormatError(f"MIP {texts[0]!r} encountered but no unswizzle hook installed")
 
 
 def _is_dense_fixed(layout: FlatLayout) -> bool:
@@ -197,7 +206,7 @@ def _collect_per_unit(ctx, layout, base, prim_start, prim_end) -> List[bytes]:
             if pointer == 0:
                 text = b""
             else:
-                text = ctx.pointer_to_mip(pointer).encode("utf-8")
+                (text,) = ctx.swizzle([pointer])
                 ctx._m_swizzled.inc()
             parts.append(_LEN.pack(len(text)))
             parts.append(text)
@@ -289,21 +298,25 @@ def _apply_strided(ctx, layout, base, prim_start, prim_end, data, offset) -> int
     return offset
 
 
+def _length_at(data, offset: int) -> int:
+    """The 4-byte length header of a variable-size unit at ``offset``."""
+    if offset + _LEN.size > len(data):
+        raise WireFormatError("wire diff truncated in a length header")
+    return _LEN.unpack_from(data, offset)[0]
+
+
 def _apply_per_unit(ctx, layout, base, prim_start, prim_end, data, offset) -> int:
-    if not isinstance(data, (bytes, bytearray)):
-        # string/pointer handling concatenates and decodes, which needs
-        # real bytes — materialize a zero-copy view at this boundary
-        data = bytes(data)
-        count_bytes_copied(len(data))
+    # ``data`` may be a view over the receive buffer: every unit copies
+    # out just its own bytes, so nothing is materialized wholesale
     little = ctx.arch.endian == "little"
     memory = ctx.memory
     for _, run, i, j in iter_units(layout, prim_start, prim_end):
         address = base + run.unit_local_offset(i, j)
         kind = run.kind
         if kind is PrimKind.STRING:
-            (length,) = _LEN.unpack_from(data, offset)
+            length = _length_at(data, offset)
             offset += _LEN.size
-            content = data[offset:offset + length]
+            content = bytes(data[offset:offset + length])
             if len(content) != length:
                 raise WireFormatError("wire diff truncated in string")
             offset += length
@@ -312,21 +325,21 @@ def _apply_per_unit(ctx, layout, base, prim_start, prim_end, data, offset) -> in
                     f"wire string of {length} bytes exceeds capacity {run.capacity}")
             memory.store(address, content + b"\x00" * (run.capacity - length))
         elif kind is PrimKind.POINTER:
-            (length,) = _LEN.unpack_from(data, offset)
+            length = _length_at(data, offset)
             offset += _LEN.size
-            text = data[offset:offset + length]
+            text = bytes(data[offset:offset + length])
             if len(text) != length:
                 raise WireFormatError("wire diff truncated in MIP")
             offset += length
             if length == 0:
                 pointer = 0
             else:
-                pointer = ctx.mip_to_pointer(text.decode("utf-8"))
+                (pointer,) = ctx.unswizzle([text])
                 ctx._m_unswizzled.inc()
             memory.store(address, ctx.arch.encode_prim(PrimKind.POINTER, pointer))
         else:
             width = run.unit_size
-            chunk = data[offset:offset + width]
+            chunk = bytes(data[offset:offset + width])
             if len(chunk) != width:
                 raise WireFormatError("wire diff truncated")
             offset += width
@@ -381,12 +394,23 @@ def apply_block(ctx: TranslationContext, layout: FlatLayout, base: int,
 # ratio-4 case: every 4th word changed, gaps too wide to splice).  Paying a
 # Python call per run would swamp the real translation cost, so for the
 # common layout — one dense fixed-size run, i.e. flat arrays — a whole
-# diff's runs are translated with single numpy gathers/scatters.  Every
-# other layout, and a diff of a few runs (where contiguous slices beat
-# building index arrays), loops over collect_range/apply_range.
+# diff's runs are translated with single numpy gathers/scatters.  A diff
+# of a few runs (where contiguous slices beat building index arrays) and
+# every other fixed-size layout loop over collect_range/apply_range;
+# layouts with strings or pointers do too, until the call is big enough
+# for the batched pass at the end of this file.
 
 #: run count up to which the per-run slice path beats one gather/scatter
 _PER_RUN_MAX = 4
+
+#: unit count of a call up to which the per-unit loop beats the batched
+#: pass.  Measured on arrays of records holding a string, in runs of 4
+#: units, per-unit vs batched collect (apply alike), in microseconds:
+#: 1 layout run 32 units 79 vs 105, 64: 145 vs 113; 4 layout runs 32:
+#: 111 vs 164, 64: 206 vs 168; 32 layout runs 64: 625 vs 814, 128: 1281
+#: vs 837; 256 layout runs 64: 4201 vs 4236, 128: 8456 vs 4634 (both
+#: sides grow with the layout's run count, so the crossover stays put).
+_PER_UNIT_MAX = 64
 
 
 def _gather_run(layout: FlatLayout, run_count: int):
@@ -420,6 +444,8 @@ def collect_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
     counts = np.asarray(counts, dtype=np.int64)
     run = _gather_run(layout, starts.size)
     if run is None:
+        if _batched(layout, counts):
+            return _collect_batched(ctx, layout, base, starts, counts)
         parts: List[bytes] = []
         lens = []
         for start, count in zip(starts.tolist(), counts.tolist()):
@@ -448,6 +474,8 @@ def apply_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
     starts, counts = columns.starts, columns.counts
     run = _gather_run(layout, columns.run_count)
     if run is None:
+        if _batched(layout, counts):
+            return _apply_batched(ctx, layout, base, columns)
         payload = memoryview(columns.data)
         bounds = columns.bounds.tolist()
         for index, (start, count) in enumerate(
@@ -472,3 +500,155 @@ def apply_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
     indices, _ = _gather_indices(run, starts, counts)
     image[indices] = payload
     ctx.memory.store(base, image.tobytes())
+
+
+# ---------------------------------------------------------------------------
+# batched translation of variable-size layouts
+# ---------------------------------------------------------------------------
+
+
+def _batched(layout: FlatLayout, counts: np.ndarray) -> bool:
+    """Whether a call the fixed-size paths declined is big enough for the
+    batched pass."""
+    return (layout.has_variable and counts.size > 0 and int(counts.min()) > 0
+            and int(counts.sum()) > _PER_UNIT_MAX)
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices covering [start, start + length) of every pair."""
+    ends = np.cumsum(lengths)
+    return (np.repeat(starts - (ends - lengths), lengths)
+            + np.arange(int(ends[-1]) if ends.size else 0))
+
+
+def _place_units(ctx, layout, base, starts, counts):
+    """Every unit of every run, in wire order: each run's first unit,
+    then per unit its run, its layout run and its offset in ``image`` —
+    the local bytes the runs span, loaded once — and ``image``'s address."""
+    if int(starts.min()) < 0 or int((starts + counts).max()) > layout.prim_count:
+        raise WireFormatError("diff run exceeds block bounds")
+    firsts = np.cumsum(counts) - counts
+    run_of = np.repeat(np.arange(counts.size), counts)
+    which, local = layout.locate_units(
+        np.repeat(starts - firsts, counts) + np.arange(run_of.size))
+    origin = int(local.min())
+    end = min(layout.local_size,
+              int(local.max()) + max(run.unit_size for run in layout.runs))
+    image = np.frombuffer(
+        bytearray(ctx.memory.load(base + origin, end - origin)), np.uint8)
+    return firsts, run_of, which, local - origin, image, base + origin
+
+
+def _by_layout_run(layout, which):
+    """(layout run, indices of its units) for each layout run touched."""
+    for index, run in enumerate(layout.runs):
+        units = np.flatnonzero(which == index)
+        if units.size:
+            yield run, units
+
+
+def _collect_batched(ctx, layout, base, starts, counts) -> RunColumns:
+    firsts, _, which, local, image, _ = _place_units(ctx, layout, base, starts, counts)
+    sizes = np.empty(which.size, np.int64)  # wire bytes per unit
+    groups = []
+    for run, units in _by_layout_run(layout, which):
+        cells = image[local[units, None] + np.arange(run.unit_size)]
+        lengths = None
+        if run.kind is PrimKind.STRING:
+            nul = cells == 0
+            lengths = np.where(nul.any(axis=1), nul.argmax(axis=1), run.capacity)
+            cells = cells[np.arange(run.capacity) < lengths[:, None]]
+        elif run.kind is PrimKind.POINTER:
+            pointers = cells.view(ctx.arch.numpy_dtype(PrimKind.POINTER)).ravel()
+            live = np.flatnonzero(pointers)
+            texts = ctx.swizzle(pointers[live].tolist()) if live.size else []
+            ctx._m_swizzled.inc(live.size)
+            lengths = np.zeros(units.size, np.int64)
+            lengths[live] = np.fromiter(map(len, texts), np.int64, live.size)
+            cells = np.frombuffer(b"".join(texts), np.uint8)
+        elif ctx.arch.endian == "little":
+            cells = cells[:, ::-1]
+        sizes[units] = run.unit_size if lengths is None else VAR_LEN_HEADER + lengths
+        groups.append((units, lengths, cells))
+    ends = np.cumsum(sizes)
+    offsets = ends - sizes
+    wire = np.empty(int(ends[-1]), np.uint8)
+    for units, lengths, cells in groups:
+        at = offsets[units]
+        if lengths is None:
+            wire[at[:, None] + np.arange(cells.shape[1])] = cells
+        else:
+            wire[at[:, None] + np.arange(VAR_LEN_HEADER)] = (
+                lengths.astype(">u4").view(np.uint8).reshape(-1, VAR_LEN_HEADER))
+            wire[_ragged(at + VAR_LEN_HEADER, lengths)] = cells
+    return RunColumns(starts, counts, ends[firsts + counts - 1] - offsets[firsts],
+                      wire.tobytes())
+
+
+def _apply_batched(ctx, layout, base, columns) -> None:
+    """Validate all of a diff, then store the span it touches once — a
+    rejected diff leaves the block image as it was."""
+    starts, counts, bounds = columns.starts, columns.counts, columns.bounds
+    payload = np.frombuffer(columns.data, np.uint8)
+    if int(bounds[-1]) > payload.size:
+        raise WireFormatError("wire diff truncated")
+    firsts, run_of, which, local, image, origin = _place_units(
+        ctx, layout, base, starts, counts)
+    variable = np.array([run.kind.is_variable_wire_size for run in layout.runs])
+    sizes = np.where(variable, VAR_LEN_HEADER,
+                     [run.unit_size for run in layout.runs])[which]
+
+    def offsets():  # runs start at ``bounds``; a run's units follow each other
+        packed = np.cumsum(sizes) - sizes
+        return packed + (bounds[:-1] - packed[firsts])[run_of]
+
+    # The one sequential step: a length header sits after the contents of
+    # the variable-size units before it in its run, so headers are read
+    # in order, shifting each from where it would be were those empty.
+    var = np.flatnonzero(variable[which])
+    empty_at = offsets()[var].tolist()
+    per_run = np.searchsorted(run_of[var], np.arange(counts.size + 1)).tolist()
+    found = []
+    try:
+        for lo, hi in zip(per_run, per_run[1:]):
+            shift = 0
+            for offset in empty_at[lo:hi]:
+                (length,) = _LEN.unpack_from(columns.data, offset + shift)
+                found.append(length)
+                shift += length
+    except struct.error:
+        raise WireFormatError("wire diff truncated in a length header") from None
+    lengths = np.zeros(which.size, np.int64)
+    lengths[var] = found
+    sizes += lengths
+    at = offsets()
+    wrong = np.flatnonzero((at + sizes)[firsts + counts - 1] != bounds[1:])
+    if wrong.size:
+        raise WireFormatError(f"run {int(wrong[0])}: data does not fill its "
+                              f"{int(columns.lens[wrong[0]])} bytes exactly")
+    for run, units in _by_layout_run(layout, which):
+        sized = lengths[units]
+        if run.kind.is_variable_wire_size:
+            body = payload[_ragged(at[units] + VAR_LEN_HEADER, sized)]
+        if run.kind is PrimKind.STRING:
+            if int(sized.max()) > run.capacity - 1:
+                raise WireFormatError(f"wire string of {int(sized.max())} bytes "
+                                      f"exceeds capacity {run.capacity}")
+            cells = np.zeros((units.size, run.capacity), np.uint8)
+            cells[np.arange(run.capacity) < sized[:, None]] = body
+        elif run.kind is PrimKind.POINTER:
+            live = np.flatnonzero(sized)
+            cuts = np.concatenate(([0], np.cumsum(sized[live]))).tolist()
+            texts = body.tobytes()
+            pointers = np.zeros(units.size, ctx.arch.numpy_dtype(PrimKind.POINTER))
+            if live.size:
+                pointers[live] = ctx.unswizzle(
+                    [texts[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
+            ctx._m_unswizzled.inc(live.size)
+            cells = pointers.view(np.uint8).reshape(-1, run.unit_size)
+        else:
+            cells = payload[at[units, None] + np.arange(run.unit_size)]
+            if ctx.arch.endian == "little":
+                cells = cells[:, ::-1]
+        image[local[units, None] + np.arange(run.unit_size)] = cells
+    ctx.memory.store(origin, image)

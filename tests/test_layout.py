@@ -20,7 +20,7 @@ from repro.types import (
 )
 from repro.types.layout import FlatLayout
 
-from tests._support import descriptors, linked_node_type
+from tests._support import descriptors, leaf_descriptors, linked_node_type
 
 ARCH_LIST = list(ARCHITECTURES.values())
 
@@ -237,3 +237,57 @@ def test_byte_range_matches_brute_force(descriptor, arch, a, b):
     for start, count in layout.prim_runs_for_byte_range(lo, hi):
         got.update(range(start, start + count))
     assert got == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(descriptors(), st.sampled_from(ARCH_LIST), st.booleans())
+def test_array_mappings_match_the_scalar_ones(descriptor, arch, coalesce):
+    """locate_units / units_at are prim_to_local / local_to_prim over
+    arrays, including the answers for offsets outside the block."""
+    import numpy as np
+
+    layout = FlatLayout(descriptor, arch, coalesce)
+    prims = np.arange(-2, layout.prim_count + 2, dtype=np.int64)
+    which, local = layout.locate_units(prims)
+    for prim, run_index, offset in zip(prims.tolist(), which.tolist(), local.tolist()):
+        if 0 <= prim < layout.prim_count:
+            kind, capacity, expected = layout.prim_to_local(prim)
+            run = layout.runs[run_index]
+            assert (run.kind, run.capacity, offset) == (kind, capacity, expected)
+        else:
+            assert run_index == -1
+    offsets = np.arange(-2, layout.local_size + 2, dtype=np.int64)
+    for offset, prim in zip(offsets.tolist(), layout.units_at(offsets).tolist()):
+        inside = 0 <= offset < layout.local_size
+        hit = layout.local_to_prim(offset) if inside else None
+        assert prim == (hit[0] if hit is not None else -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(leaf_descriptors(), min_size=2, max_size=5),
+       st.sampled_from(ARCH_LIST), st.integers(12, 30), st.data())
+def test_many_byte_ranges_over_instances_match_the_scalar_mapper(
+        fields, arch, count, data):
+    """Above a few dozen ranges a uniform layout maps byte ranges to
+    unit runs in one array pass; it must agree with the scalar mapper
+    range by range (padding, partial and whole instances included)."""
+    import numpy as np
+
+    from repro.types.layout import _SCALAR_RANGES_MAX
+    from repro.util import runs as run_algebra
+
+    element = RecordDescriptor("e", [Field(f"f{index}", field)
+                                     for index, field in enumerate(fields)])
+    layout = FlatLayout(ArrayDescriptor(element, count), arch)
+    wanted = 2 * (_SCALAR_RANGES_MAX + 1)
+    cuts = sorted(data.draw(st.lists(
+        st.integers(0, layout.local_size), unique=True,
+        min_size=min(wanted, layout.local_size + 1) // 2 * 2,
+        max_size=min(4 * wanted, layout.local_size + 1) // 2 * 2)))
+    cuts = cuts[:len(cuts) // 2 * 2]
+    los, his = np.array(cuts[0::2], np.int64), np.array(cuts[1::2], np.int64)
+    starts, counts = layout.prim_runs_for_byte_ranges(los, his)
+    expected = run_algebra.normalize(
+        [run for lo, hi in zip(cuts[0::2], cuts[1::2])
+         for run in layout.prim_runs_for_byte_range(lo, hi)])
+    assert list(zip(starts.tolist(), counts.tolist())) == expected

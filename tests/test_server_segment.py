@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from repro.errors import ServerError
+from repro.errors import ServerError, WireFormatError
 from repro.server.segment_state import SUBBLOCK_UNITS, ServerSegment
 from repro.types import (
     INT,
@@ -200,7 +200,7 @@ class TestVariableData:
             BlockDiff(serial=1, is_new=True, type_serial=serial,
                       runs=[DiffRun(0, 1, wire)])],
             new_types=[(serial, registry.encoded(serial))]))
-        assert state.mip_store == ["host/other#3#7"]
+        assert state.mip_store == [mip]  # the wire bytes as they came
         assert state.read_block_wire(1) == wire
 
     def test_mips_interned(self):
@@ -214,7 +214,27 @@ class TestVariableData:
             BlockDiff(serial=1, is_new=True, type_serial=serial,
                       runs=[DiffRun(0, 3, one * 3)])],
             new_types=[(serial, registry.encoded(serial))]))
-        assert state.mip_store == ["host/x#1"]  # same MIP stored once
+        assert state.mip_store == [mip]  # same MIP stored once
+
+    @pytest.mark.parametrize("count", [3, 100], ids=["per-unit", "batched"])
+    @pytest.mark.parametrize("bad", [b"host/x#\xff1", b"host/x", b"host/x#1#two",
+                                     b"#1", b"host/x#1#2#3"])
+    def test_malformed_mip_fails_its_writer_and_is_not_kept(self, count, bad):
+        state = ServerSegment("host/p")
+        registry = TypeRegistry()
+        serial = registry.register(
+            ArrayDescriptor(PointerDescriptor(INT, "int"), count))
+        good = b"host/x#1"
+        units = [struct.pack(">I", len(mip)) + mip
+                 for mip in [good] * (count - 1) + [bad]]
+        with pytest.raises(WireFormatError, match="bad MIP"):
+            state.apply_client_diff(SegmentDiff("host/p", 0, 0, [
+                BlockDiff(serial=1, is_new=True, type_serial=serial,
+                          runs=[DiffRun(0, count, b"".join(units))])],
+                new_types=[(serial, registry.encoded(serial))]))
+        assert bad not in state.mip_store  # no reader will ever be sent it
+        if count > 64:  # the batched pass checks a whole batch before keeping any
+            assert state.mip_store == []
 
 
 class TestAccounting:

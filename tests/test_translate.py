@@ -223,7 +223,7 @@ class TestPointers:
         swizzled = []
         tctx = TranslationContext(
             mem, X86_32,
-            pointer_to_mip=lambda addr: (swizzled.append(addr), "seg#2")[1])
+            swizzle=lambda addrs: (swizzled.extend(addrs), [b"seg#2"] * len(addrs))[1])
         wire = collect_block(tctx, flat_layout(desc, X86_32), block.address)
         assert swizzled == [target.address]
         assert wire == struct.pack(">I", 5) + b"seg#2"
@@ -232,7 +232,8 @@ class TestPointers:
         mem, seg, actx = make_env(ALPHA)
         desc = PointerDescriptor(INT, "int")
         block, acc = alloc(seg, actx, desc)
-        tctx = TranslationContext(mem, ALPHA, mip_to_pointer=lambda mip: 0xBEEF0)
+        tctx = TranslationContext(mem, ALPHA,
+                                  unswizzle=lambda mips: [0xBEEF0] * len(mips))
         wire = struct.pack(">I", 5) + b"seg#9"
         apply_block(tctx, flat_layout(desc, ALPHA), block.address, wire)
         assert acc.address_value() == 0xBEEF0

@@ -35,6 +35,11 @@ tags 3 / 65 / 67 both present and absent, a non-empty diff-entry list for
 tags 11 / 15 / 75, and every ``REPL_*`` kind of tag 14.
 ``tests/conformance/`` decodes the same corpus with a codec built from
 ``docs/PROTOCOL.md`` §5.
+
+``GOLDEN_POINTER_HEX`` was generated at commit ``37e0a32`` — the last one
+where every string and pointer unit was translated by the per-unit loop —
+by printing ``pointer_golden_diffs(X86_32)`` (defined below) as hex, after
+checking that SPARC-V9, Alpha and MIPS writers produced the same bytes.
 """
 
 import struct
@@ -42,6 +47,7 @@ import struct
 import pytest
 
 from repro import InterWeaveServer
+from repro.arch import ALPHA, MIPS32, SPARC_V9, X86_32
 from repro.server.wal import WriteAheadLog
 from repro.types import (INT, ArrayDescriptor, Field, PointerDescriptor,
                          RecordDescriptor, StringDescriptor, TypeRegistry)
@@ -108,6 +114,85 @@ GOLDEN_HEX = {
     "tombstone": (
         "0000000b686f73742f676f6c64656e0000000300000004000000000000000100"
         "00000302000000040000000000000000"
+    ),
+}
+
+GOLDEN_POINTER_HEX = {
+    "create": (
+        "0000000b686f73742f676f6c64656e0000000000000000000000010000000100"
+        "00004f0000000604000000010000002405000400046e6f646500036b65790000"
+        "00020001770000000300056c6162656c0000000400046e657874000000050103"
+        "0106020000000c030000000100046e6f64650000000100000001050000000000"
+        "000001000000056e6f646573000004e3000000010000000000000090000004d7"
+        "0000000000000000000000000000000000000000000000013fe0000000000000"
+        "000000016100000010686f73742f676f6c64656e2331233238000000023ff000"
+        "000000000000000005636166c3a90000000e686f73742f6f7468657223312332"
+        "000000033ff80000000000000000000b30313233343536373839610000000000"
+        "0000044000000000000000000000046e6f646500000011686f73742f676f6c64"
+        "656e233123313132000000054004000000000000000000000000000e686f7374"
+        "2f6f746865722331233500000006400800000000000000000001610000000000"
+        "000007400c00000000000000000005636166c3a900000010686f73742f676f6c"
+        "64656e23312335320000000840100000000000000000000b3031323334353637"
+        "3839610000000e686f73742f6f74686572233123380000000940120000000000"
+        "00000000046e6f6465000000000000000a401400000000000000000000000000"
+        "11686f73742f676f6c64656e2331233133360000000b40160000000000000000"
+        "0001610000000f686f73742f6f7468657223312331310000000c401800000000"
+        "000000000005636166c3a9000000000000000d401a0000000000000000000b30"
+        "3132333435363738396100000010686f73742f676f6c64656e23312337360000"
+        "000e401c000000000000000000046e6f64650000000f686f73742f6f74686572"
+        "23312331340000000f401e000000000000000000000000000000000010402000"
+        "0000000000000000016100000010686f73742f676f6c64656e23312331360000"
+        "0011402100000000000000000005636166c3a90000000f686f73742f6f746865"
+        "7223312331370000001240220000000000000000000b30313233343536373839"
+        "6100000000000000134023000000000000000000046e6f646500000011686f73"
+        "742f676f6c64656e233123313030000000144024000000000000000000000000"
+        "000f686f73742f6f746865722331233230000000154025000000000000000000"
+        "01610000000000000016402600000000000000000005636166c3a90000001068"
+        "6f73742f676f6c64656e23312334300000001740270000000000000000000b30"
+        "313233343536373839610000000f686f73742f6f746865722331233233000000"
+        "184028000000000000000000046e6f6465000000000000001940290000000000"
+        "000000000000000011686f73742f676f6c64656e2331233132340000001a402a"
+        "00000000000000000001610000000f686f73742f6f7468657223312332360000"
+        "001b402b00000000000000000005636166c3a9000000000000001c402c000000"
+        "0000000000000b303132333435363738396100000010686f73742f676f6c6465"
+        "6e23312336340000001d402d000000000000000000046e6f64650000000f686f"
+        "73742f6f7468657223312332390000001e402e00000000000000000000000000"
+        "000000001f402f00000000000000000001610000000f686f73742f676f6c6465"
+        "6e2331233400000020403000000000000000000005636166c3a90000000f686f"
+        "73742f6f7468657223312333320000002140308000000000000000000b303132"
+        "333435363738396100000000000000224031000000000000000000046e6f6465"
+        "00000010686f73742f676f6c64656e2331233838000000234031800000000000"
+        "000000000000000f686f73742f6f746865722331233335"
+    ),
+    "rewrite": (
+        "0000000b686f73742f676f6c64656e0000000100000000000000000000000100"
+        "000001000000000000000343000000120000000400000004000000270000000c"
+        "00000004000000280000001400000004000000150000001c000000040000002d"
+        "0000002400000004000000250000002c00000004000000190000003400000004"
+        "000000270000003c000000040000002600000044000000040000001f0000004c"
+        "00000004000000230000005400000004000000290000005c0000000400000018"
+        "0000006400000004000000240000006c000000040000002f0000007400000004"
+        "000000140000007c00000004000000280000008400000004000000280000008c"
+        "0000000400000015000003e93ff800000000000000000005636166c3a9000000"
+        "0e686f73742f6f7468657223312332000003eb4004000000000000000000046e"
+        "6f646500000010686f73742f676f6c64656e2331233838000003ed400c000000"
+        "000000000000016100000000000003ef40120000000000000000000b30313233"
+        "343536373839610000000e686f73742f6f7468657223312338000003f1401600"
+        "00000000000000000000000011686f73742f676f6c64656e2331233131320000"
+        "03f3401a00000000000000000005636166c3a900000000000003f5401e000000"
+        "000000000000046e6f64650000000f686f73742f6f7468657223312331340000"
+        "03f74021000000000000000000016100000011686f73742f676f6c64656e2331"
+        "23313336000003f940230000000000000000000b303132333435363738396100"
+        "000000000003fb4025000000000000000000000000000f686f73742f6f746865"
+        "722331233230000003fd402700000000000000000005636166c3a90000001068"
+        "6f73742f676f6c64656e2331233136000003ff4029000000000000000000046e"
+        "6f64650000000000000401402b00000000000000000001610000000f686f7374"
+        "2f6f74686572233123323600000403402d0000000000000000000b3031323334"
+        "35363738396100000010686f73742f676f6c64656e233123343000000405402f"
+        "0000000000000000000000000000000004074030800000000000000000056361"
+        "66c3a90000000f686f73742f6f74686572233123333200000409403180000000"
+        "0000000000046e6f646500000010686f73742f676f6c64656e23312336340000"
+        "040b4032800000000000000000016100000000"
     ),
 }
 
@@ -332,6 +417,65 @@ def golden_messages():
         "replicate_nack": m.ReplicateAck(False, 1),
         "error_reply": m.ErrorReply("segment not found"),
     }
+
+
+def pointer_golden_diffs(arch):
+    """The two write diffs of a pointer/string block, as a writer on
+    ``arch`` collects them: the creation of 36 ``{int; double;
+    string<12>; node*}`` records (144 units in one run) and a rewrite of
+    every second record (18 runs of 4 units), with empty, full and
+    non-ASCII labels and NULL, intra-block and cross-segment pointers."""
+    from repro import InProcHub, InterWeaveClient, InterWeaveServer
+    from repro.types import DOUBLE
+
+    hub = InProcHub()
+    hub.register_server("host", InterWeaveServer("host", sink=hub))
+    client = InterWeaveClient("w", arch, hub.connect)
+    other = client.open_segment("host/other")
+    client.wl_acquire(other)
+    ints = client.malloc(other, ArrayDescriptor(INT, 40), name="ints")
+    client.wl_release(other)
+    link = PointerDescriptor(target_name="node")
+    node = RecordDescriptor("node", [
+        Field("key", INT), Field("w", DOUBLE),
+        Field("label", StringDescriptor(12)), Field("next", link)])
+    link.target = node
+    labels = ["", "a", "caf\u00e9", "0123456789a", "node"]
+    segment = client.open_segment("host/golden")
+
+    def write(array, index, salt):
+        record = array[index]
+        record.key = 1000 * salt + index
+        record.w = index * 0.5 + salt
+        record.label = labels[(index + salt) % len(labels)]
+        record.next = [None, array.element_accessor((index * 7 + salt) % 36),
+                       ints.element_accessor((index + salt) % 40)][(index + salt) % 3]
+
+    encoded = {}
+    client.wl_acquire(segment)
+    array = client.malloc(segment, ArrayDescriptor(node, 36), name="nodes")
+    for index in range(36):
+        write(array, index, salt=0)
+    encoded["create"] = encode_segment_diff(client._collect(segment)[0])
+    client.wl_release(segment)
+    client.wl_acquire(segment)
+    for index in range(1, 36, 2):
+        write(array, index, salt=1)
+    encoded["rewrite"] = encode_segment_diff(client._collect(segment)[0])
+    client.wl_release(segment)
+    return encoded
+
+
+@pytest.mark.parametrize("arch", [X86_32, SPARC_V9, ALPHA, MIPS32],
+                         ids=lambda arch: arch.name)
+def test_pointer_string_diffs_are_byte_identical_on_every_writer(arch):
+    """Strings and MIPs leave every architecture in the same bytes, on
+    whichever translation path the run set takes."""
+    diffs = pointer_golden_diffs(arch)
+    assert {name: data.hex() for name, data in diffs.items()} == GOLDEN_POINTER_HEX
+    decoded = decode_segment_diff(diffs["rewrite"]).block_diffs[0].columns
+    assert decoded.starts.tolist() == [4 * index for index in range(1, 36, 2)]
+    assert decoded.counts.tolist() == [4] * 18
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_HEX))

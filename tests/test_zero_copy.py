@@ -243,14 +243,17 @@ def test_large_update_builds_no_diffrun_and_copies_nothing_at_apply(
 
 #: what the cycle below moved at f650dcc, with one exception:
 #: ``wire.bytes_copied`` was 581 there — 100 bytes more, the payload of the
-#: 25-run update that the client's apply re-joined (the bug pinned above)
+#: 25-run update that the client's apply re-joined (the bug pinned above),
+#: and 58 more, the four pointer runs (two at the server, two at the
+#: reader) whose payload the per-unit apply copied wholesale before
+#: copying each unit out of the copy
 RECORDED_COUNTERS = {
     "client.collect.runs": 2,
     "client.collect.nodiff_runs": 0,
     "client.collect.diff_runs": 30,
     "client.collect.rle_bytes": 141,
     "client.collect.modified_units": 30,
-    "wire.bytes_copied": 481,
+    "wire.bytes_copied": 423,
     "wire.swizzle.pointers_to_mips": 2,
     "wire.swizzle.mips_to_pointers": 4,  # server's MIP store + reader
     "wire.diff.encoded": 6,
@@ -288,6 +291,45 @@ def test_data_plane_counters_match_recorded_values():
     moved = {name: registry.counter(name).value - before[name]
              for name in RECORDED_COUNTERS}
     assert moved == RECORDED_COUNTERS, moved
+
+
+@pytest.mark.parametrize("records", [4, 200], ids=["per-unit", "batched"])
+def test_applying_strings_and_pointers_materializes_nothing(records):
+    """Regression: the per-unit apply copied a run's whole payload out
+    of the receive buffer before copying every unit out of that copy —
+    once per run, so a 225-run diff of 18.4 KB moved 91.8 KB.  On either
+    side of the batched crossover, ``apply_runs`` over a payload view
+    leaves ``wire.bytes_copied`` where it was."""
+    from repro.arch import SPARC_V9
+    from repro.memory import AddressSpace
+    from repro.types import (Field, PointerDescriptor, RecordDescriptor,
+                             StringDescriptor, flat_layout)
+    from repro.wire import TranslationContext
+    from repro.wire.translate import apply_runs, collect_runs
+
+    record = RecordDescriptor("r", [Field("key", INT),
+                                    Field("label", StringDescriptor(16)),
+                                    Field("next", PointerDescriptor(INT, "int"))])
+    layout = flat_layout(ArrayDescriptor(record, records), SPARC_V9)
+    memory = AddressSpace()
+    base = memory.map_region(4)
+    ctx = TranslationContext(memory, SPARC_V9,
+                             swizzle=lambda addresses: [b"h/s#%d" % address
+                                                        for address in addresses],
+                             unswizzle=lambda texts: [int(text[4:])
+                                                      for text in texts])
+    for index in range(records):
+        at = base + index * layout.instance_size
+        memory.store(at + 4, b"label-%d\x00" % index)
+        memory.store(at + 24, (index + 1).to_bytes(8, "big"))
+    runs = list(range(0, layout.prim_count, 6))  # one run per other record
+    columns = collect_runs(ctx, layout, base, runs, [3] * len(runs))
+    received = RunColumns(columns.starts, columns.counts, columns.lens,
+                          memoryview(columns.data))
+    copied = get_registry().counter("wire.bytes_copied")
+    before = copied.value
+    apply_runs(ctx, layout, base, received)
+    assert copied.value == before
 
 
 # -- allocator policy -----------------------------------------------------------
