@@ -32,11 +32,14 @@ Acceptance (see the tests below):
   bytes, and faster end-to-end under the modeled LAN bandwidth
   (``REPRO_BENCH_DATASIZE_MBPS``, default 100 Mbit/s — the paper era's
   fast Ethernet);
-- a cProfile gate on both ends of an 8 MB update: no per-word Python
+- a cProfile gate on an 8 MB update from end to end: no per-word Python
   loop (``_collect_per_unit``, ``_apply_per_unit``, ``iter_units``, or any
   function called once per word) in the hot profile of the writer's
-  release, and none of those names nor any function called once per
-  *run* in the hot profile of the reader's read-acquire applying it;
+  modifying store or its release, none of those names nor any function
+  called once per *run* in the hot profile of the reader's read-acquire
+  applying it, and in none of the three a function called once per
+  4 KiB *page* (fault handling, twinning and the word diff work on page
+  ranges);
 - the same gate on a pointer-rich update — ``REPRO_BENCH_DATASIZE_RECORDS``
   (16384) ``{int; double; string<32>; node*}`` records, the release-path
   benchmark's ``pointer_records`` shape, 1/8 of them rewritten and
@@ -67,6 +70,7 @@ import pstats
 import sys
 import tempfile
 import time
+from typing import Optional
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -76,6 +80,7 @@ from common import World, build_workload
 
 from repro import InProcHub, InterWeaveClient, InterWeaveServer, VirtualClock
 from repro.arch import SPARC_V9, X86_32, PrimKind
+from repro.memory import PAGE_SIZE
 from repro.obs import get_registry, write_sidecar
 from repro.rpc import XDRTranslator
 from repro.server.segment_state import ServerSegment
@@ -235,9 +240,14 @@ def _modeled_e2e(cpu_seconds: float, wire_bytes: int) -> float:
     return cpu_seconds + wire_bytes / (MODEL_MBPS * 125_000.0)
 
 
-def _hot_profile(profiler: cProfile.Profile, call_limit: int) -> dict:
+def _hot_profile(profiler: cProfile.Profile, call_limit: int,
+                 page_call_limit: Optional[int] = None) -> dict:
     """The top-N tottime functions of a profile and the offenders among
-    them: banned per-word loops, or anything called ``call_limit`` times."""
+    them: banned per-word loops, or anything called ``call_limit`` times
+    — or, where given, ``page_call_limit`` times (once per page)."""
+    limits = {"call_limit": call_limit}
+    if page_call_limit is not None:
+        limits["page_call_limit"] = page_call_limit
     stats = pstats.Stats(profiler)
     entries = sorted(stats.stats.items(),
                      key=lambda item: item[1][2], reverse=True)
@@ -247,10 +257,10 @@ def _hot_profile(profiler: cProfile.Profile, call_limit: int) -> dict:
         row = {"function": name, "file": os.path.basename(filename),
                "calls": ncalls, "tottime_s": round(tottime, 6)}
         top.append(row)
-        if name in BANNED_HOT_FUNCTIONS or ncalls >= call_limit:
+        if name in BANNED_HOT_FUNCTIONS or ncalls >= min(limits.values()):
             offenders.append(row)
     return {"top": top, "offenders": offenders, "top_n": PROFILE_TOP_N,
-            "call_limit": call_limit}
+            **limits}
 
 
 def _profiled(call) -> cProfile.Profile:
@@ -262,10 +272,12 @@ def _profiled(call) -> cProfile.Profile:
 
 
 def _profile_update(data_bytes: int, deadline: _Deadline) -> dict:
-    """cProfile one scattered update at both ends: the writer's release
-    (nothing may loop once per word) and a big-endian reader's
-    read-acquire applying it (nothing may loop once per run)."""
+    """cProfile one scattered update from end to end: the writer's
+    modifying store and its release (nothing may loop once per word) and
+    a big-endian reader's read-acquire applying it (nothing may loop
+    once per run) — and nothing anywhere once per page."""
     words = data_bytes // 4
+    pages = data_bytes // PAGE_SIZE
     with tempfile.TemporaryDirectory(prefix="bench-datasize-") as tmp:
         world = _make_world(tmp)
         workload = build_workload("int_array", world, data_bytes=data_bytes)
@@ -275,7 +287,9 @@ def _profile_update(data_bytes: int, deadline: _Deadline) -> dict:
         reader.rl_acquire(cached)
         reader.rl_release(cached)
         writer.wl_acquire(workload.segment)
-        _modify_scattered(workload, salt=99)
+        modify = _profiled(lambda: _modify_scattered(workload, salt=99))
+        if writer.stats.twins_created < pages:
+            raise RuntimeError("the profiled store faulted too few pages")
         deadline.check("profiled release")
         release = _profiled(lambda: writer.wl_release(workload.segment))
         deadline.check("profiled read-acquire")
@@ -283,8 +297,9 @@ def _profile_update(data_bytes: int, deadline: _Deadline) -> dict:
         if cached.version != workload.segment.version:
             raise RuntimeError("profiled read-acquire applied no update")
         reader.rl_release(cached)
-    return {"release": _hot_profile(release, call_limit=words),
-            "read_acquire": _hot_profile(read, call_limit=-(-words // RATIO))}
+    return {"modify": _hot_profile(modify, words, pages),
+            "release": _hot_profile(release, words, pages),
+            "read_acquire": _hot_profile(read, -(-words // RATIO), pages)}
 
 
 def _covered_units(diff) -> int:
@@ -439,10 +454,13 @@ def test_diff_beats_xdr_margin():
 
 def test_no_per_word_python_loop_in_profile():
     """No per-word Python loop may appear in the hot profile of an
-    MB-scale release, and no per-run loop in the hot profile of the
-    read-acquire applying it (the data plane is columnar end to end)."""
+    MB-scale store or release, no per-run loop in the hot profile of the
+    read-acquire applying it (the data plane is columnar end to end),
+    and no per-page loop in any of them."""
     results = _results()
+    assert set(results["profile_gate"]) == {"modify", "release", "read_acquire"}
     for end, gate in results["profile_gate"].items():
+        assert 0 < gate["page_call_limit"] < gate["call_limit"]
         assert not gate["offenders"], (end, gate["offenders"])
 
 

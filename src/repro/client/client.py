@@ -531,8 +531,8 @@ class InterWeaveClient:
         span.set_attr("payload_bytes",
                       0 if payload is None else payload.payload_bytes())
         # the write session ends only once the server answered: if the
-        # RPC dies (origin crash, failover blackout) the pagemaps keep
-        # their dirty marks, so a retried release re-collects the same
+        # RPC dies (origin crash, failover blackout) the subsegments keep
+        # their twins, so a retried release re-collects the same
         # modifications instead of shipping an empty diff and silently
         # dropping the committed section
         reply = self._rpc_segment(segment, LockReleaseRequest(
@@ -696,29 +696,29 @@ class InterWeaveClient:
         segment.session_diffed = segment.nodiff.use_diffing_next()
         if segment.session_diffed:
             for subsegment in segment.heap.subsegments:
-                subsegment.pagemap.clear()
+                subsegment.drop_twins()
                 self.memory.protect_range(subsegment.base, subsegment.size)
 
     def _end_write_session(self, segment: Segment) -> None:
         for subsegment in segment.heap.subsegments:
-            subsegment.pagemap.clear()
+            subsegment.drop_twins()
             self.memory.unprotect_range(subsegment.base, subsegment.size)
 
-    def _on_write_fault(self, space: AddressSpace, page_number: int) -> bool:
-        """The library's SIGSEGV handler: twin the page, re-enable writes."""
-        address = page_number * space.page_size
+    def _on_write_fault(self, space: AddressSpace, first_page: int, count: int) -> bool:
+        """The library's SIGSEGV handler: twin the pages — a run within one
+        mapping, so within one subsegment — and re-enable writes."""
+        address = first_page * space.page_size
         subsegment = self.heap_root.find_subsegment(address)
         if subsegment is None:
             return False
         segment = self.segments.get(subsegment.segment_heap.name)
         if segment is None or segment.lock_mode != LOCK_WRITE:
             return False  # writing shared data without a write lock
-        page_index = subsegment.page_index(address)
-        if page_index not in subsegment.pagemap:
-            subsegment.pagemap[page_index] = space.snapshot_page(page_number)
-            self.stats.twins_created += 1
-            self._m_twins.inc()
-        space.unprotect_page(page_number)
+        twinned = subsegment.twin_pages(
+            space, (address - subsegment.base) // space.page_size, count)
+        self.stats.twins_created += twinned
+        self._m_twins.inc(twinned)
+        space.unprotect_range(address, count * space.page_size)
         return True
 
     # ------------------------------------------------------------------

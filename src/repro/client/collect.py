@@ -5,12 +5,13 @@ and converts them to machine-independent wire format.  The pipeline, per
 Section 3.1 of the paper:
 
 1. **word diffing** — scan the segment's subsegments and each subsegment's
-   pagemap; for every twinned page, compare the current page against its
-   twin word by word, yielding runs of contiguous modified words
-   (``change_begin`` .. ``change_end``);
+   pagemap; compare the twinned pages against their twins word by word —
+   one array comparison per subsegment — yielding runs of contiguous
+   modified words (``change_begin`` .. ``change_end``);
 2. **run splicing** — if one or two unchanged words separate two modified
    runs, treat the whole stretch as changed: a run header already costs
-   two words, and the spliced run is faster to apply;
+   two words, and the spliced run is faster to apply (done in the same
+   pass, on the indices of the changed words);
 3. **block mapping** — locate the blocks spanning each changed byte range
    through the subsegment's ``blk_addr_tree``;
 4. **translation** — map changed bytes to primitive-unit runs through the
@@ -29,7 +30,7 @@ steps 1–3 are skipped entirely.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from repro.memory.heap import BlockInfo, SegmentHeap, SubSegment
 from repro.memory.mmu import AddressSpace
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.types import flat_layout
-from repro.types.layout import merge_run_arrays
 from repro.wire import BlockDiff, SegmentDiff, TranslationContext
 from repro.wire.translate import collect_runs
 
@@ -49,44 +49,37 @@ def word_diff_arrays(memory: AddressSpace, subsegment: SubSegment,
                      word_size: int, max_gap: int = 0):
     """Changed word runs vs. the twins, as numpy arrays (starts, ends).
 
-    Offsets are subsegment-relative, in words.  Splicing happens *during*
-    the scan, as in the C implementation: two changed words separated by
-    at most ``max_gap`` unchanged ones stay in one run, so a change
-    pattern like every-other-word (one word of every double) never
-    materializes thousands of one-word runs.
+    Offsets are subsegment-relative, in words.  One pass over the whole
+    subsegment: the twinned pages are compared with their twins in one
+    ``!=`` (gathered first unless they are one run of pages, so the cost
+    follows the twinned pages, not the subsegment), and runs are cut on
+    the global indices of the changed words — two changed words separated
+    by at most ``max_gap`` unchanged ones stay in one run, across a page
+    edge as within a page, so a change pattern like every-other-word (one
+    word of every double) never materializes thousands of one-word runs.
     """
-    page_words = subsegment.page_size // word_size
-    first_page = subsegment.first_page_number()
-    dtype = np.uint32 if word_size == 4 else np.uint64
-    all_starts, all_ends = [], []
-    for page_index in sorted(subsegment.pagemap):
-        twin = subsegment.pagemap[page_index]
-        current = memory.page(first_page + page_index).as_words(word_size)
-        twin_words = np.frombuffer(twin, dtype=dtype)
-        changed = np.flatnonzero(current != twin_words)
-        if changed.size == 0:
-            continue
-        base = page_index * page_words
-        # a gap of g unchanged words shows as an index delta of g+1
-        breaks = np.flatnonzero(np.diff(changed) > max_gap + 1)
-        starts = changed[np.concatenate(([0], breaks + 1))]
-        ends = changed[np.concatenate((breaks, [changed.size - 1]))] + 1
-        all_starts.append(starts + base)
-        all_ends.append(ends + base)
-    if not all_starts:
-        empty = np.empty(0, np.int64)
+    empty = np.empty(0, np.int64)
+    if subsegment.twins is None:
         return empty, empty
-    starts = np.concatenate(all_starts).astype(np.int64)
-    ends = np.concatenate(all_ends).astype(np.int64)
-    # pages were spliced independently; merge runs meeting at page edges
-    return merge_run_arrays(starts, ends, max_gap)
-
-
-def word_diff_pages(memory: AddressSpace, subsegment: SubSegment,
-                    word_size: int, max_gap: int = 0) -> List[Tuple[int, int]]:
-    """Tuple-returning wrapper around :func:`word_diff_arrays`."""
-    starts, ends = word_diff_arrays(memory, subsegment, word_size, max_gap)
-    return [(int(start), int(end - start)) for start, end in zip(starts, ends)]
+    dtype = np.uint32 if word_size == 4 else np.uint64
+    current = np.frombuffer(memory.view(subsegment.base, subsegment.size), dtype)
+    twins = np.frombuffer(subsegment.twins, dtype)
+    page_words = subsegment.page_size // word_size
+    pages = np.flatnonzero(np.frombuffer(subsegment.twinned, np.uint8))
+    lo, hi = int(pages[0]) * page_words, (int(pages[-1]) + 1) * page_words
+    if pages.size * page_words == hi - lo:  # one run of pages: compare in place
+        changed = np.flatnonzero(current[lo:hi] != twins[lo:hi]) + lo
+    else:
+        gathered = np.flatnonzero(current.reshape(-1, page_words)[pages]
+                                  != twins.reshape(-1, page_words)[pages])
+        changed = pages[gathered // page_words] * page_words + gathered % page_words
+    if changed.size == 0:
+        return empty, empty
+    # a gap of g unchanged words shows as an index delta of g+1
+    breaks = np.flatnonzero(np.diff(changed) > max_gap + 1)
+    starts = changed[np.concatenate(([0], breaks + 1))]
+    ends = changed[np.concatenate((breaks, [changed.size - 1]))] + 1
+    return starts.astype(np.int64, copy=False), ends.astype(np.int64, copy=False)
 
 
 def changed_byte_arrays(memory: AddressSpace, subsegment: SubSegment,
@@ -96,13 +89,6 @@ def changed_byte_arrays(memory: AddressSpace, subsegment: SubSegment,
     starts, ends = word_diff_arrays(memory, subsegment, word_size, max_gap)
     return (subsegment.base + starts * word_size,
             subsegment.base + ends * word_size)
-
-
-def changed_byte_runs(memory: AddressSpace, subsegment: SubSegment, word_size: int,
-                      splice: bool = True) -> List[Tuple[int, int]]:
-    """Absolute (address, length) byte runs of modification, spliced."""
-    starts, ends = changed_byte_arrays(memory, subsegment, word_size, splice)
-    return [(int(start), int(end - start)) for start, end in zip(starts, ends)]
 
 
 def map_ranges_to_blocks(subsegment: SubSegment, byte_starts, byte_ends,
@@ -151,18 +137,6 @@ def map_ranges_to_blocks(subsegment: SubSegment, byte_starts, byte_ends,
         if prim_starts.size:
             per_block[block.serial] = (prim_starts, prim_counts)
     return per_block
-
-
-def map_runs_to_blocks(subsegment: SubSegment, byte_runs, skip_serials, arch,
-                       coalesce_layouts: bool = True) -> Dict[int, List[Tuple[int, int]]]:
-    """Tuple-based wrapper around :func:`map_ranges_to_blocks`."""
-    runs = sorted(byte_runs)
-    starts = np.fromiter((s for s, _ in runs), np.int64, len(runs))
-    ends = np.fromiter((s + c for s, c in runs), np.int64, len(runs))
-    mapped = map_ranges_to_blocks(subsegment, starts, ends, skip_serials,
-                                  arch, coalesce_layouts)
-    return {serial: list(zip(prim_starts.tolist(), prim_counts.tolist()))
-            for serial, (prim_starts, prim_counts) in mapped.items()}
 
 
 class CollectTimers:
@@ -228,7 +202,7 @@ def collect_write_diff(tctx: TranslationContext, heap: SegmentHeap,
         per_subsegment = [
             (subsegment, changed_byte_arrays(tctx.memory, subsegment,
                                              arch.word_size, splice))
-            for subsegment in heap.subsegments if subsegment.pagemap
+            for subsegment in heap.subsegments if subsegment.twins is not None
         ]
         timers.word_diff_seconds += time.perf_counter() - started
         # phase 3: block mapping (a block lives in exactly one subsegment,

@@ -51,7 +51,7 @@ def begin(client, segment) -> None:
         # only this session) back into diffing mode
         segment.session_diffed = True
         for subsegment in segment.heap.subsegments:
-            subsegment.pagemap.clear()
+            subsegment.drop_twins()
             client.memory.protect_range(subsegment.base, subsegment.size)
     segment.transaction = TransactionState()
 
@@ -84,13 +84,14 @@ def abort(client, segment) -> None:
     memory = client.memory
     heap = segment.heap
 
-    # 1. restore every twinned page (pre-transaction images)
+    # 1. restore every twinned page (pre-transaction images), a run of
+    #    pages per copy; twinned pages are writable, so nothing faults
     for subsegment in heap.subsegments:
-        first_page = subsegment.first_page_number()
-        for page_index, twin in subsegment.pagemap.items():
-            page = memory.page(first_page + page_index)
-            page.data[:] = twin
-        subsegment.pagemap.clear()
+        page_size = subsegment.page_size
+        for first, stop in subsegment.twinned_runs():
+            memory.store(subsegment.base + first * page_size, memoryview(
+                subsegment.twins)[first * page_size:stop * page_size])
+        subsegment.drop_twins()
         memory.unprotect_range(subsegment.base, subsegment.size)
 
     # 2. unwind creations (their metadata references die with them)

@@ -1,4 +1,4 @@
-"""Simulated memory: pages + MMU, the subsegment heap, typed accessors."""
+"""Simulated memory: mappings + MMU, the subsegment heap, typed accessors."""
 
 from repro.memory.accessor import (
     Accessor,
@@ -18,7 +18,7 @@ from repro.memory.heap import (
     SegmentHeap,
     SubSegment,
 )
-from repro.memory.mmu import PAGE_SIZE, AddressSpace, Page
+from repro.memory.mmu import PAGE_SIZE, AddressSpace
 
 __all__ = [
     "Accessor",
@@ -30,7 +30,6 @@ __all__ = [
     "Heap",
     "MIN_SUBSEGMENT_PAGES",
     "PAGE_SIZE",
-    "Page",
     "PointerAccessor",
     "PrimitiveAccessor",
     "RecordAccessor",

@@ -12,8 +12,10 @@ Bookkeeping matches Figure 2 of the paper:
   trees of blocks — by serial number (``blk_number_tree``) and by symbolic
   name (``blk_name_tree``) — which together support MIP -> pointer
   translation;
-- per subsegment: a *pagemap* (pointers to twins) and a balanced tree of
-  blocks by address (``blk_addr_tree``);
+- per subsegment: a *pagemap* — here one twin buffer holding pristine
+  page images at their page offsets plus one "twinned" flag per page,
+  both allocated at a write session's first fault — and a balanced tree
+  of blocks by address (``blk_addr_tree``);
 - per client: a global tree of all subsegments by address
   (``subseg_addr_tree``); together with the per-subsegment trees it
   supports modification detection and pointer -> MIP translation.
@@ -27,11 +29,11 @@ implementation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.arch import Architecture
 from repro.errors import BlockError, SegmentError
-from repro.memory.mmu import AddressSpace
+from repro.memory.mmu import AddressSpace, flag_runs
 from repro.types import TypeDescriptor
 from repro.util import AVLTree
 
@@ -82,15 +84,19 @@ class BlockInfo:
 class SubSegment:
     """A contiguous page-aligned slice of one segment's cached copy."""
 
-    __slots__ = ("base", "num_pages", "page_size", "segment_heap", "pagemap", "blk_addr_tree")
+    __slots__ = ("base", "num_pages", "page_size", "segment_heap", "twins", "twinned",
+                 "blk_addr_tree")
 
     def __init__(self, base: int, num_pages: int, page_size: int, segment_heap: "SegmentHeap"):
         self.base = base
         self.num_pages = num_pages
         self.page_size = page_size
         self.segment_heap = segment_heap
-        #: page index within the subsegment -> twin bytes (pristine copy)
-        self.pagemap: Dict[int, bytes] = {}
+        #: pristine images of the twinned pages, each at its page's
+        #: offset, and one flag per page; None outside a write session
+        #: and until its first fault
+        self.twins: Optional[bytearray] = None
+        self.twinned: Optional[bytearray] = None
         self.blk_addr_tree = AVLTree()
 
     @property
@@ -104,11 +110,27 @@ class SubSegment:
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
 
-    def page_index(self, address: int) -> int:
-        return (address - self.base) // self.page_size
+    def twin_pages(self, memory: AddressSpace, first: int, count: int) -> int:
+        """Keep pristine copies of pages [first, first+count) (indices
+        within the subsegment) that have none yet — one copy per run of
+        such pages; returns how many pages were twinned."""
+        if self.twins is None:
+            self.twins = bytearray(self.size)
+            self.twinned = bytearray(self.num_pages)
+        current, twins, made = memory.view(self.base, self.size), memoryview(self.twins), 0
+        for page, end in flag_runs(self.twinned, 0, first, first + count):
+            lo, hi = page * self.page_size, end * self.page_size
+            twins[lo:hi] = current[lo:hi]
+            self.twinned[page:end] = b"\x01" * (end - page)
+            made += end - page
+        return made
 
-    def first_page_number(self) -> int:
-        return self.base // self.page_size
+    def twinned_runs(self) -> Iterator[Tuple[int, int]]:
+        """Maximal runs [first, stop) of twinned pages, in order."""
+        return flag_runs(self.twinned or b"", 1)
+
+    def drop_twins(self) -> None:
+        self.twins = self.twinned = None
 
     def __repr__(self):
         return f"SubSegment(@{self.base:#x}, {self.num_pages} pages)"

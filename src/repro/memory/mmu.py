@@ -7,24 +7,27 @@ handler makes a pristine copy (*twin*) of the page, records it in the
 subsegment's pagemap, and re-enables write access.
 
 Python cannot take real page faults, so this module is the stand-in: an
-:class:`AddressSpace` of fixed-size pages with per-page protection bits.
-Every store issued by the typed accessor layer goes through
-:meth:`AddressSpace.store`; a store that touches a write-protected page
-invokes the registered fault handler — the same contract as the paper's
-SIGSEGV handler (create twin, unprotect, retry) — before the bytes land.
+:class:`AddressSpace` of mappings, each one contiguous buffer with one
+protection flag per page.  Every store issued by the typed accessor
+layer goes through :meth:`AddressSpace.store`; a store that touches
+write-protected pages invokes the registered fault handler — the same
+contract as the paper's SIGSEGV handler (create twin, unprotect, retry)
+— before the bytes land.  Where real hardware would fault once per page,
+the handler is called once per maximal run of protected pages the store
+touches (``mmu.write_faults`` still counts pages), so an MB-scale store
+costs one slice copy, not one Python call per 4 KiB.
 
 Addresses are plain integers.  Regions are mapped at page granularity by a
 bump allocator, so every page belongs to at most one mapping (the paper's
 invariant that "any given page contains data from only one segment" is
 enforced one level up, by the heap, which maps a fresh region per
-subsegment).
+subsegment).  A fault never covers pages of two mappings.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-import numpy as np
+from bisect import bisect_right
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import ProtectionError
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -36,19 +39,32 @@ PAGE_SIZE = 4096
 _BASE_ADDRESS = 0x1000_0000
 
 
-class Page:
-    """One page of simulated memory."""
+def flag_runs(flags, value: int, start: int = 0, stop: Optional[int] = None
+              ) -> Iterator[Tuple[int, int]]:
+    """Maximal runs [first, end) of ``value`` in ``flags[start:stop]``, a
+    bytes-like of 0/1 page flags, found by C-level scans.  Flags behind
+    the run last yielded may be changed while iterating."""
+    stop = len(flags) if stop is None else stop
+    first = flags.find(value, start, stop)
+    while first >= 0:
+        end = flags.find(1 - value, first, stop)
+        if end < 0:
+            end = stop
+        yield first, end
+        first = flags.find(value, end, stop)
 
-    __slots__ = ("data", "writable")
 
-    def __init__(self, size: int):
-        self.data = bytearray(size)
-        self.writable = True
+class _Mapping:
+    """One ``map_region``: its bytes and a write-protected flag per page."""
 
-    def as_words(self, word_size: int) -> np.ndarray:
-        """View the page as an array of unsigned words (for word diffing)."""
-        dtype = np.uint32 if word_size == 4 else np.uint64
-        return np.frombuffer(self.data, dtype=dtype)
+    __slots__ = ("base", "end", "view", "protected")
+
+    def __init__(self, base: int, num_pages: int, page_size: int):
+        self.base = base
+        self.end = base + num_pages * page_size
+        #: the mapping's bytes: every load, store and window is a slice
+        self.view = memoryview(bytearray(num_pages * page_size))
+        self.protected = bytearray(num_pages)
 
 
 class FaultStats:
@@ -57,9 +73,7 @@ class FaultStats:
     __slots__ = ("write_faults", "protect_calls", "unprotect_calls")
 
     def __init__(self):
-        self.write_faults = 0
-        self.protect_calls = 0
-        self.unprotect_calls = 0
+        self.reset()
 
     def reset(self):
         self.write_faults = 0
@@ -70,10 +84,12 @@ class FaultStats:
 class AddressSpace:
     """A client process's simulated address space.
 
-    ``fault_handler(address_space, page_number)`` is installed by the
-    InterWeave client library at startup (mirroring its SIGSEGV handler).
-    It must either make the page writable (returning True) or return False,
-    in which case the store raises :class:`ProtectionError`.
+    ``fault_handler(address_space, first_page, count)`` is installed by
+    the InterWeave client library at startup (mirroring its SIGSEGV
+    handler).  It is handed a run of write-protected pages within one
+    mapping and must either make all of them writable (returning True)
+    or return False, in which case the store raises
+    :class:`ProtectionError` and lands no bytes.
     """
 
     def __init__(self, page_size: int = PAGE_SIZE,
@@ -81,13 +97,17 @@ class AddressSpace:
         if page_size < 32 or page_size & (page_size - 1):
             raise ValueError(f"page size must be a power of two >= 32, got {page_size}")
         self.page_size = page_size
-        self._pages: Dict[int, Page] = {}
+        self._page_shift = page_size.bit_length() - 1
+        #: live mappings in address order, and their bases for bisect
+        self._mappings: List[_Mapping] = []
+        self._bases: List[int] = []
+        self._last: Optional[_Mapping] = None
         self._next_page = _BASE_ADDRESS // page_size
-        self.fault_handler: Optional[Callable[["AddressSpace", int], bool]] = None
+        self.fault_handler: Optional[Callable[["AddressSpace", int, int], bool]] = None
         self.stats = FaultStats()
         metrics = metrics or get_registry()
         self._m_write_faults = metrics.counter(
-            "mmu.write_faults", "stores that hit a write-protected page")
+            "mmu.write_faults", "write-protected pages that stores hit")
         self._m_protects = metrics.counter(
             "mmu.protect_calls", "protect_range invocations")
         self._m_unprotects = metrics.counter(
@@ -99,107 +119,148 @@ class AddressSpace:
         """Map ``num_pages`` fresh zeroed pages; returns the base address."""
         if num_pages < 1:
             raise ValueError("must map at least one page")
-        first = self._next_page
+        base = self._next_page * self.page_size
         self._next_page += num_pages
-        for page_number in range(first, first + num_pages):
-            self._pages[page_number] = Page(self.page_size)
-        return first * self.page_size
+        self._mappings.append(_Mapping(base, num_pages, self.page_size))
+        self._bases.append(base)
+        return base
 
     def unmap_region(self, base: int, num_pages: int) -> None:
-        """Remove a mapping (used when a cached segment is discarded)."""
-        first = base // self.page_size
-        for page_number in range(first, first + num_pages):
-            self._pages.pop(page_number, None)
+        """Remove the mapping ``map_region(num_pages)`` returned ``base``
+        for (used when a cached segment is discarded)."""
+        index = bisect_right(self._bases, base) - 1
+        if (index < 0 or self._mappings[index].base != base
+                or self._mappings[index].end != base + num_pages * self.page_size):
+            raise ProtectionError(
+                f"{num_pages} pages at {base:#x} are not one live mapping")
+        del self._mappings[index], self._bases[index]
+        self._last = None
 
     def is_mapped(self, address: int) -> bool:
-        return address // self.page_size in self._pages
+        index = bisect_right(self._bases, address) - 1
+        return index >= 0 and address < self._mappings[index].end
 
-    def page(self, page_number: int) -> Page:
-        try:
-            return self._pages[page_number]
-        except KeyError:
-            raise ProtectionError(f"page {page_number:#x} is not mapped") from None
+    def _mapping_at(self, address: int) -> _Mapping:
+        mapping = self._last
+        if mapping is not None and mapping.base <= address < mapping.end:
+            return mapping
+        index = bisect_right(self._bases, address) - 1
+        if index >= 0:
+            mapping = self._mappings[index]
+            if address < mapping.end:
+                self._last = mapping
+                return mapping
+        raise ProtectionError(
+            f"page {address >> self._page_shift:#x} is not mapped")
 
-    def page_number(self, address: int) -> int:
-        return address // self.page_size
+    def _spans(self, address: int, size: int) -> Iterator[Tuple[_Mapping, int, int]]:
+        """(mapping, offset, length) pieces of [address, address+size);
+        raises at the first unmapped page."""
+        end = address + size
+        while address < end:
+            mapping = self._mapping_at(address)
+            length = min(end, mapping.end) - address
+            yield mapping, address - mapping.base, length
+            address += length
 
     # -- protection --------------------------------------------------------------
 
     def protect_range(self, base: int, length: int) -> None:
         """Write-protect all pages overlapping [base, base+length)."""
-        for page_number in self._page_span(base, length):
-            self.page(page_number).writable = False
+        self._set_protection(base, length, b"\x01")
         self.stats.protect_calls += 1
         self._m_protects.inc()
 
     def unprotect_range(self, base: int, length: int) -> None:
-        for page_number in self._page_span(base, length):
-            self.page(page_number).writable = True
+        self._set_protection(base, length, b"\x00")
         self.stats.unprotect_calls += 1
         self._m_unprotects.inc()
 
-    def unprotect_page(self, page_number: int) -> None:
-        self.page(page_number).writable = True
-        self.stats.unprotect_calls += 1
-        self._m_unprotects.inc()
-
-    def _page_span(self, base: int, length: int):
-        if length <= 0:
-            return range(0)
-        return range(base // self.page_size, (base + length - 1) // self.page_size + 1)
+    def _set_protection(self, base: int, length: int, flag: bytes) -> None:
+        shift = self._page_shift
+        for mapping, offset, size in self._spans(base, length):
+            first = offset >> shift
+            stop = ((offset + size - 1) >> shift) + 1
+            mapping.protected[first:stop] = flag * (stop - first)
 
     # -- loads and stores ----------------------------------------------------------
 
     def load(self, address: int, size: int) -> bytes:
-        """Read ``size`` bytes (may span pages)."""
-        out = bytearray(size)
-        cursor = 0
-        while cursor < size:
-            page_number, offset = divmod(address + cursor, self.page_size)
-            page = self.page(page_number)
-            chunk = min(size - cursor, self.page_size - offset)
-            out[cursor:cursor + chunk] = page.data[offset:offset + chunk]
-            cursor += chunk
-        return bytes(out)
+        """Read ``size`` bytes (may span mappings)."""
+        if size <= 0:
+            return b""
+        mapping = self._mapping_at(address)
+        offset = address - mapping.base
+        if address + size <= mapping.end:
+            return mapping.view[offset:offset + size].tobytes()
+        return b"".join(mapping.view[offset:offset + length]
+                        for mapping, offset, length in self._spans(address, size))
 
     def store(self, address: int, data) -> None:
-        """Write bytes (may span pages), taking write faults as needed.
+        """Write bytes (may span mappings), taking write faults as needed.
 
         This is the single choke point all application stores go through —
-        the simulated equivalent of the CPU's store path.
+        the simulated equivalent of the CPU's store path.  Every page the
+        store touches is faulted writable before the first byte is copied,
+        so a store the handler refuses changes nothing.
         """
         size = len(data)
-        view = memoryview(data)
+        if size == 0:
+            return
+        mapping = self._mapping_at(address)
+        offset = address - mapping.base
+        if address + size <= mapping.end:
+            self._fault_span(mapping, offset, size)
+            mapping.view[offset:offset + size] = data
+            return
+        spans = list(self._spans(address, size))
+        for mapping, offset, length in spans:
+            self._fault_span(mapping, offset, length)
+        source = memoryview(data)
         cursor = 0
-        while cursor < size:
-            page_number, offset = divmod(address + cursor, self.page_size)
-            page = self.page(page_number)
-            if not page.writable:
-                self._fault(page_number)
-                page = self.page(page_number)  # handler may have replaced it
-                if not page.writable:
-                    raise ProtectionError(
-                        f"store to write-protected page {page_number:#x} "
-                        f"(address {address + cursor:#x}) not resolved by fault handler")
-            chunk = min(size - cursor, self.page_size - offset)
-            page.data[offset:offset + chunk] = view[cursor:cursor + chunk]
-            cursor += chunk
+        for mapping, offset, length in spans:
+            mapping.view[offset:offset + length] = source[cursor:cursor + length]
+            cursor += length
 
-    def _fault(self, page_number: int) -> None:
-        self.stats.write_faults += 1
-        self._m_write_faults.inc()
-        if self.fault_handler is None:
+    def view(self, address: int, size: int) -> memoryview:
+        """A read-only zero-copy window; must lie within one mapping."""
+        return self._window(address, size, fault=False).toreadonly()
+
+    def writable_view(self, address: int, size: int) -> memoryview:
+        """A writable zero-copy window within one mapping, faulted like a
+        store of the whole window; write through it before protection
+        changes again."""
+        return self._window(address, size, fault=True)
+
+    def _window(self, address: int, size: int, fault: bool) -> memoryview:
+        mapping = self._mapping_at(address)
+        offset = address - mapping.base
+        if size < 0 or address + size > mapping.end:
+            if size > 0:
+                self._mapping_at(mapping.end)  # unmapped beyond: say so
             raise ProtectionError(
-                f"write fault on page {page_number:#x} with no fault handler installed")
-        if not self.fault_handler(self, page_number):
-            raise ProtectionError(f"fault handler refused write to page {page_number:#x}")
+                f"window of {size} bytes at {address:#x} is not within one mapping")
+        if fault and size > 0:
+            self._fault_span(mapping, offset, size)
+        return mapping.view[offset:offset + size]
 
-    # -- page-level helpers for the diffing machinery -------------------------------
-
-    def page_bytes(self, page_number: int) -> bytearray:
-        """Direct (mutable) access to a page's backing bytes."""
-        return self.page(page_number).data
-
-    def snapshot_page(self, page_number: int) -> bytes:
-        """A pristine copy of a page — twin creation."""
-        return bytes(self.page(page_number).data)
+    def _fault_span(self, mapping: _Mapping, offset: int, size: int) -> None:
+        """Take the write faults of a store to ``size`` > 0 bytes at
+        ``offset``: one handler call per maximal run of protected pages."""
+        flags = mapping.protected
+        stop = ((offset + size - 1) >> self._page_shift) + 1
+        for page, end in flag_runs(flags, 1, offset >> self._page_shift, stop):
+            count = end - page
+            first_page = (mapping.base >> self._page_shift) + page
+            self.stats.write_faults += count
+            self._m_write_faults.inc(count)
+            if self.fault_handler is None:
+                raise ProtectionError(
+                    f"write fault on page {first_page:#x} with no fault handler installed")
+            if not self.fault_handler(self, first_page, count):
+                raise ProtectionError(
+                    f"fault handler refused write to {count} pages at {first_page:#x}")
+            if flags.find(1, page, end) >= 0:
+                raise ProtectionError(
+                    f"store to {count} write-protected pages at {first_page:#x} "
+                    "not resolved by fault handler")

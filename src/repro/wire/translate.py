@@ -19,7 +19,8 @@ Execution strategies, chosen per call from the layout and the input:
 1. **dense** — all runs are repeat-1 and fixed-size (flat arrays, records
    of scalars): one vectorized byteswap-copy per run intersection, or,
    for a diff of more than ``_PER_RUN_MAX`` runs over a single dense
-   run, one gather/scatter for the whole diff;
+   run, one gather/scatter for the whole diff, by unit and in place on
+   the block's memory;
 2. **strided** — a uniform layout of repeated instances (array of
    records), all fixed-size: full instances are translated with strided
    numpy gathers/scatters, partial head/tail instances per-unit;
@@ -421,15 +422,12 @@ def _gather_run(layout: FlatLayout, run_count: int):
     return run if run.repeat == 1 else None
 
 
-def _gather_indices(run, starts: np.ndarray, counts: np.ndarray):
-    """Flat byte-index array covering every unit of every run."""
-    unit = run.unit_size
-    byte_starts = run.local_start + (starts - run.prim_start) * unit
-    byte_lens = counts * unit
-    total = int(byte_lens.sum())
-    offsets = np.cumsum(byte_lens) - byte_lens  # each run's payload offset
-    indices = np.repeat(byte_starts - offsets, byte_lens) + np.arange(total)
-    return indices, byte_lens
+def _units_of(ctx, run, base: int, window) -> np.ndarray:
+    """The dense run's local bytes as units in the architecture's byte
+    order, through ``window`` (memory's ``view`` or ``writable_view``): no copy."""
+    order = "<" if ctx.arch.endian == "little" else ">"
+    return np.frombuffer(window(base + run.local_start, run.unit_count * run.unit_size),
+                         f"{order}u{run.unit_size}")
 
 
 def collect_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
@@ -454,12 +452,10 @@ def collect_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
             parts += run_parts
         return RunColumns(starts, counts, np.array(lens, np.int64),
                           b"".join(parts))
-    image = np.frombuffer(ctx.memory.load(base, layout.local_size), np.uint8)
-    indices, byte_lens = _gather_indices(run, starts, counts)
-    data = image[indices]
-    if ctx.arch.endian == "little":
-        data = _byteswapped(data, run.unit_size)
-    return RunColumns(starts, counts, byte_lens, data.tobytes())
+    data = _units_of(ctx, run, base, ctx.memory.view)[
+        _ragged(starts - run.prim_start, counts)]
+    return RunColumns(starts, counts, counts * run.unit_size,
+                      data.astype(f">u{run.unit_size}", copy=False).tobytes())
 
 
 def apply_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
@@ -488,18 +484,15 @@ def apply_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
         return
     if int(starts.min()) < 0 or int((starts + counts).max()) > layout.prim_count:
         raise WireFormatError("diff run exceeds block bounds")
-    payload = np.frombuffer(columns.data, np.uint8)
+    carried = memoryview(columns.data).nbytes
     expected = int(counts.sum()) * run.unit_size
-    if len(payload) != expected:
+    if carried != expected:
         raise WireFormatError(
-            f"diff runs carry {len(payload)} bytes, expected {expected}")
-    if ctx.arch.endian == "little":
-        payload = _byteswapped(payload, run.unit_size)
-    image = np.frombuffer(bytearray(ctx.memory.load(base, layout.local_size)),
-                          np.uint8)
-    indices, _ = _gather_indices(run, starts, counts)
-    image[indices] = payload
-    ctx.memory.store(base, image.tobytes())
+            f"diff runs carry {carried} bytes, expected {expected}")
+    indices = _ragged(starts - run.prim_start, counts)
+    # everything is checked: scatter into the block where it lies
+    _units_of(ctx, run, base, ctx.memory.writable_view)[indices] = np.frombuffer(
+        columns.data, f">u{run.unit_size}")
 
 
 # ---------------------------------------------------------------------------

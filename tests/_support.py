@@ -120,3 +120,73 @@ def fill_random(acc, descriptor, rng):
             fill_random(acc.element_accessor(k), descriptor.element, rng)
     elif isinstance(descriptor, PointerDescriptor):
         acc.set(None)
+
+
+# -- modification tracking: handlers, tuple views, the per-page reference -------
+
+def twin_on_fault(memory, subsegment):
+    """Install the library's twin-on-fault handler for one subsegment
+    (no client, no lock check) and write-protect it."""
+
+    def handler(space, first_page, count):
+        address = first_page * space.page_size
+        subsegment.twin_pages(space, (address - subsegment.base) // space.page_size, count)
+        space.unprotect_range(address, count * space.page_size)
+        return True
+
+    memory.fault_handler = handler
+    subsegment.drop_twins()
+    memory.protect_range(subsegment.base, subsegment.size)
+
+
+def as_runs(starts, ends):
+    """(starts, ends) arrays as a list of (start, length) tuples."""
+    return [(int(start), int(end - start)) for start, end in zip(starts, ends)]
+
+
+def word_diff_reference(memory, subsegment, word_size, max_gap=0):
+    """The word diff one page at a time — what ``word_diff_arrays`` did
+    before it became one pass over the subsegment, kept as its reference:
+    each twinned page is compared and spliced by itself, then runs that
+    meet (or come within ``max_gap``) at page edges are merged."""
+    import numpy as np
+
+    from repro.types.layout import merge_run_arrays
+
+    page_size = subsegment.page_size
+    page_words = page_size // word_size
+    dtype = np.uint32 if word_size == 4 else np.uint64
+    all_starts, all_ends = [], []
+    for first, stop in subsegment.twinned_runs():
+        for index in range(first, stop):
+            at = index * page_size
+            current = np.frombuffer(
+                memory.load(subsegment.base + at, page_size), dtype)
+            twin = np.frombuffer(subsegment.twins[at:at + page_size], dtype)
+            changed = np.flatnonzero(current != twin)
+            if changed.size == 0:
+                continue
+            breaks = np.flatnonzero(np.diff(changed) > max_gap + 1)
+            all_starts.append(changed[np.concatenate(([0], breaks + 1))]
+                              + index * page_words)
+            all_ends.append(changed[np.concatenate((breaks, [changed.size - 1]))]
+                            + 1 + index * page_words)
+    if not all_starts:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return merge_run_arrays(np.concatenate(all_starts).astype(np.int64),
+                            np.concatenate(all_ends).astype(np.int64), max_gap)
+
+
+def map_runs_to_blocks(subsegment, byte_runs, skip_serials, arch):
+    """``collect.map_ranges_to_blocks`` over (address, length) tuples,
+    answering ``serial -> [(prim_start, prim_count)]``."""
+    import numpy as np
+
+    from repro.client.collect import map_ranges_to_blocks
+
+    runs = sorted(byte_runs)
+    starts = np.fromiter((s for s, _ in runs), np.int64, len(runs))
+    ends = np.fromiter((s + c for s, c in runs), np.int64, len(runs))
+    mapped = map_ranges_to_blocks(subsegment, starts, ends, skip_serials, arch)
+    return {serial: list(zip(prim_starts.tolist(), prim_counts.tolist()))
+            for serial, (prim_starts, prim_counts) in mapped.items()}

@@ -256,9 +256,11 @@ class TestStoresTakeFaults:
         mem = context.memory
         twins = []
 
-        def handler(space, page_number):
-            twins.append(space.snapshot_page(page_number))
-            space.unprotect_page(page_number)
+        def handler(space, first_page, count):
+            twins.append(space.load(first_page * space.page_size,
+                                    count * space.page_size))
+            space.unprotect_range(first_page * space.page_size,
+                                  count * space.page_size)
             return True
 
         mem.fault_handler = handler

@@ -1,4 +1,10 @@
-"""Unit tests for client diff collection: word diffing, mapping, batching."""
+"""Unit tests for client diff collection: word diffing, mapping, batching.
+
+``REPRO_DIFFERENTIAL_EXAMPLES`` raises the Hypothesis budget of the
+word-diff differential test (CI runs it a second time with a large one).
+"""
+
+import os
 
 import numpy as np
 import pytest
@@ -8,17 +14,17 @@ from hypothesis import strategies as st
 from repro.arch import X86_32
 from repro.client.collect import (
     SPLICE_MAX_GAP_WORDS,
-    changed_byte_runs,
-    collect_write_diff,
-    map_runs_to_blocks,
+    changed_byte_arrays,
     word_diff_arrays,
-    word_diff_pages,
 )
-from repro.memory import AccessorContext, AddressSpace, Heap, SegmentHeap, make_accessor
+from repro.memory import (MIN_SUBSEGMENT_PAGES, AccessorContext, AddressSpace, Heap,
+                          SegmentHeap, make_accessor)
 from repro.types import INT, ArrayDescriptor, flat_layout
 from repro.types.layout import merge_run_arrays
 from repro.wire import BlockDiff, DiffRun, TranslationContext, apply_range
 from repro.wire.translate import apply_runs, collect_range, collect_runs
+from tests._support import (as_runs, map_runs_to_blocks, twin_on_fault,
+                            word_diff_reference)
 
 
 def make_env(arch=X86_32):
@@ -28,18 +34,8 @@ def make_env(arch=X86_32):
     return memory, seg, AccessorContext(memory, arch)
 
 
-def protect_and_twin(memory, subsegment):
-    """Install the twin-on-fault handler and protect the subsegment."""
-
-    def handler(space, page_number):
-        index = subsegment.page_index(page_number * space.page_size)
-        if index not in subsegment.pagemap:
-            subsegment.pagemap[index] = space.snapshot_page(page_number)
-        space.unprotect_page(page_number)
-        return True
-
-    memory.fault_handler = handler
-    memory.protect_range(subsegment.base, subsegment.size)
+def word_diff_pages(memory, subsegment, word_size, max_gap=0):
+    return as_runs(*word_diff_arrays(memory, subsegment, word_size, max_gap))
 
 
 class TestWordDiff:
@@ -49,8 +45,7 @@ class TestWordDiff:
         acc = make_accessor(actx, block.descriptor, block.address)
         acc.write_values([0] * words)
         sub = block.subsegment
-        sub.pagemap.clear()
-        protect_and_twin(memory, sub)
+        twin_on_fault(memory, sub)
         return memory, seg, acc, block, sub
 
     def test_no_changes_no_runs(self):
@@ -74,14 +69,17 @@ class TestWordDiff:
     def test_untouched_pages_not_compared(self):
         memory, seg, acc, block, sub = self.setup_env()
         acc[0] = 1  # touches only the first page
-        assert len(sub.pagemap) == 1
+        assert list(sub.twinned_runs()) == [(0, 1)]
+        # a difference on a page without a twin is not looked at
+        memory.unprotect_range(sub.base + 2 * sub.page_size, 1)
+        memory.store(sub.base + 2 * sub.page_size, b"\xff" * 4)
         runs = word_diff_pages(memory, sub, 4)
         assert len(runs) == 1
 
     def test_write_of_same_value_yields_no_run(self):
         memory, seg, acc, block, sub = self.setup_env()
         acc[5] = 0  # store happens (fault + twin) but content is unchanged
-        assert len(sub.pagemap) == 1
+        assert list(sub.twinned_runs()) == [(0, 1)]
         assert word_diff_pages(memory, sub, 4) == []
 
     def test_splice_gap_within_limit(self):
@@ -104,9 +102,86 @@ class TestWordDiff:
         offset_words = (block.address - sub.base) // 4
         boundary = page_words - offset_words  # first array index on page 2
         acc.write_values([9, 9], start=boundary - 1)
-        runs = changed_byte_runs(memory, sub, 4)
+        runs = as_runs(*changed_byte_arrays(memory, sub, 4))
         assert len(runs) == 1
         assert runs[0][1] == 8
+
+#: pages and page size of the differential test's subsegment — small
+#: pages so one example holds many page edges, and the smallest
+#: subsegment there is so "all twinned" is cheap to draw
+DIFF_PAGES, DIFF_PAGE_SIZE = MIN_SUBSEGMENT_PAGES, 64
+
+
+@st.composite
+def _twinned_page_sets(draw):
+    kind = draw(st.sampled_from(["none", "all", "sparse", "pairs"]))
+    if kind == "none":
+        return []
+    if kind == "all":
+        return list(range(DIFF_PAGES))
+    if kind == "sparse":
+        return draw(st.lists(st.integers(0, DIFF_PAGES - 1), unique=True))
+    firsts = draw(st.lists(st.integers(0, DIFF_PAGES - 2), min_size=1, max_size=3))
+    return sorted({page for first in firsts for page in (first, first + 1)})
+
+
+@st.composite
+def _changed_words(draw, word_size):
+    """Word runs placed against page edges — ending on one, starting on
+    one, spanning one — with 0-3 unchanged words around them, plus a few
+    placed anywhere."""
+    page_words = DIFF_PAGE_SIZE // word_size
+    total = DIFF_PAGES * page_words
+    changed = set()
+    for _ in range(draw(st.integers(0, 6))):
+        edge = draw(st.integers(0, DIFF_PAGES)) * page_words
+        length = draw(st.integers(1, page_words + 2))
+        start = edge + draw(st.sampled_from(
+            [-length, 0, -draw(st.integers(0, length))]))  # ends on / starts on / spans
+        gap = draw(st.integers(0, 3))
+        neighbour = draw(st.integers(1, 3))
+        changed.update(range(start, start + length))
+        changed.update(range(start + length + gap, start + length + gap + neighbour))
+        changed.update(range(start - gap - neighbour, start - gap))
+    changed.update(draw(st.lists(st.integers(0, total - 1), max_size=8)))
+    return sorted(word for word in changed if 0 <= word < total)
+
+
+class TestWordDiffDifferential:
+    """The one-pass word diff against the per-page reference it replaced
+    (``tests/_support.word_diff_reference``): identical runs."""
+
+    @settings(max_examples=int(os.environ.get("REPRO_DIFFERENTIAL_EXAMPLES", "100")),
+              deadline=None)
+    @given(st.data(), st.sampled_from([4, 8]), st.booleans(), _twinned_page_sets())
+    def test_one_pass_equals_per_page_reference(self, data, word_size, splice,
+                                                twinned):
+        memory = AddressSpace(page_size=DIFF_PAGE_SIZE)
+        heap = SegmentHeap("s", Heap(memory), X86_32)
+        sub = heap.expand(DIFF_PAGES * DIFF_PAGE_SIZE)
+        assert sub.num_pages == DIFF_PAGES
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        memory.store(sub.base, np.random.default_rng(seed).integers(
+            0, 256, sub.size, dtype=np.uint8).tobytes())
+        twin_on_fault(memory, sub)
+        for page in twinned:  # a store of what is there: twins, changes nothing
+            at = sub.base + page * DIFF_PAGE_SIZE
+            memory.store(at, memory.load(at, 1))
+        # change words everywhere, twinned page or not: only twinned ones count
+        memory.unprotect_range(sub.base, sub.size)
+        for word in data.draw(_changed_words(word_size)):
+            at = sub.base + word * word_size
+            flipped = bytes(byte ^ 0xFF for byte in memory.load(at, word_size))
+            memory.store(at, flipped[:data.draw(st.integers(1, word_size))])
+        max_gap = SPLICE_MAX_GAP_WORDS if splice else 0
+        starts, ends = word_diff_arrays(memory, sub, word_size, max_gap)
+        expected_starts, expected_ends = word_diff_reference(
+            memory, sub, word_size, max_gap)
+        assert starts.dtype == ends.dtype == np.int64
+        assert starts.tolist() == expected_starts.tolist()
+        assert ends.tolist() == expected_ends.tolist()
+        page_words = DIFF_PAGE_SIZE // word_size
+        assert all(start // page_words in twinned for start in starts.tolist())
 
 
 class TestMergeRunArrays:

@@ -11,6 +11,8 @@ loss.
 
 import time
 
+import pytest
+
 from repro import (
     ClusterCoordinator,
     DirectoryResolver,
@@ -143,6 +145,46 @@ class TestReleaseRetryKeepsDiff:
         assert list(reader.accessor_for(seg_r, "a").read_values()) == \
             [5, 6, 7, 8]
         reader.rl_release(seg_r)
+
+
+    def test_failed_release_keeps_the_twins_of_a_multi_page_section(self):
+        """The twins live in per-subsegment buffers that the end of the
+        write session drops; a release whose RPC failed must not get
+        that far, so the retry collects byte-for-byte the same diff."""
+        from repro.wire import encode_segment_diff
+
+        clock = VirtualClock()
+        hub = InProcHub(clock=clock)
+        server = InterWeaveServer("s", sink=hub, clock=clock,
+                                  metrics=MetricsRegistry())
+        failable = FailableDispatcher(server)
+        hub.register_server("s", failable)
+        client = InterWeaveClient("w", X86_32, hub.connect, clock=clock)
+        seg = client.open_segment("s/data")
+        words = 5000  # five pages
+        client.wl_acquire(seg)
+        array = client.malloc(seg, ArrayDescriptor(INT, words), name="a")
+        array.write_values([0] * words)
+        client.wl_release(seg)
+
+        client.wl_acquire(seg)
+        values = [k if k % 7 == 0 else 0 for k in range(words)]
+        array.write_values(values)  # one range fault over all five pages
+        (sub,) = seg.heap.subsegments
+        twinned = list(sub.twinned_runs())
+        collected = encode_segment_diff(client._collect(seg)[0])
+        failable.dead = True
+        with pytest.raises((ServerError, TransportError)):
+            client.wl_release(seg)
+        failable.dead = False
+        assert list(sub.twinned_runs()) == twinned != []
+        assert encode_segment_diff(client._collect(seg)[0]) == collected
+        client.wl_release(seg)
+        assert sub.twins is None
+        assert server.segments["s/data"].state.version == 2
+        reader = InterWeaveClient("r", X86_32, hub.connect, clock=clock)
+        assert read_values(reader, reader.open_segment("s/data", create=False)) \
+            == values
 
 
 class TestRelayFailover:

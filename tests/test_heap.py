@@ -168,6 +168,31 @@ class TestPageOwnership:
         assert not (pages_a & pages_b)
 
 
+class TestTwins:
+    def test_a_page_is_twinned_once_and_the_twin_stays_pristine(self, heap, seg):
+        memory = heap.address_space
+        sub = seg.expand(1)
+        size = memory.page_size
+        assert sub.twins is None and list(sub.twinned_runs()) == []
+        memory.store(sub.base, b"original" * (3 * size // 8))
+        assert sub.twin_pages(memory, 1, 1) == 1
+        memory.store(sub.base + size, b"modified")
+        # pages 0-2 again: page 1 keeps its first twin, 0 and 2 get theirs
+        assert sub.twin_pages(memory, 0, 3) == 2
+        assert sub.twin_pages(memory, 0, 3) == 0
+        assert sub.twins[:3 * size] == b"original" * (3 * size // 8)
+        assert memory.load(sub.base + size, 8) == b"modified"
+        assert sub.twin_pages(memory, 5, 2) == 2
+        assert list(sub.twinned_runs()) == [(0, 3), (5, 7)]
+        sub.drop_twins()
+        assert sub.twins is None and list(sub.twinned_runs()) == []
+
+    def test_last_page_run_ends_at_the_subsegment(self, heap, seg):
+        sub = seg.expand(1)
+        assert sub.twin_pages(heap.address_space, sub.num_pages - 2, 2) == 2
+        assert list(sub.twinned_runs()) == [(sub.num_pages - 2, sub.num_pages)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["alloc", "free"]),
                           st.integers(1, 300)), max_size=60))

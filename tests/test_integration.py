@@ -256,6 +256,31 @@ class TestLockDiscipline:
         with pytest.raises(ProtectionError):
             block.set(2)
 
+    def test_store_straddling_into_an_unlocked_segment_lands_nothing(self, world):
+        """Two segments' subsegments can be neighbours in the address
+        space.  A store running off the end of the write-locked one into
+        the other (whose pages nobody may write) is refused whole: the
+        locked segment's bytes stay as they were too."""
+        clock, hub, server = world
+        client = make_client(hub, clock, "c")
+        seg_a = client.open_segment("host/a")
+        seg_b = client.open_segment("host/b")
+        for seg in (seg_a, seg_b):
+            client.wl_acquire(seg)
+            client.malloc(seg, ArrayDescriptor(INT, 64), name="x")
+            client.wl_release(seg)
+        (sub_a,), (sub_b,) = seg_a.heap.subsegments, seg_b.heap.subsegments
+        assert sub_b.base == sub_a.end
+        client.memory.protect_range(sub_b.base, sub_b.size)  # not b's to write
+        client.wl_acquire(seg_a)
+        before = client.memory.load(sub_a.base, sub_a.size + sub_b.size)
+        with pytest.raises(ProtectionError):
+            client.memory.store(sub_a.end - 8, b"\xff" * 16)
+        assert client.memory.load(sub_a.base, sub_a.size + sub_b.size) == before
+        assert sub_b.twins is None  # b was never twinned
+        client.memory.store(sub_a.end - 8, b"\xff" * 8)  # a alone is fine
+        client.wl_release(seg_a)
+
     def test_double_lock_rejected(self, world):
         clock, hub, server = world
         client = make_client(hub, clock, "c")

@@ -73,6 +73,43 @@ class TestAbort:
         assert seg.version == 1  # no new version reached the server
         assert server.segments["host/tx"].state.version == 1
 
+    def test_abort_after_range_faults_restores_byte_exactly(self, world):
+        """Stores that fault runs of pages — a whole-array store, stores
+        to scattered pages, a store into an already twinned run — are
+        all rolled back from the twins, to the byte."""
+        clock, hub, server, writer, seg = world
+        words = 6 * 1024  # six pages and a bit, after the fixture's blocks
+        writer.wl_acquire(seg)
+        big = writer.malloc(seg, ArrayDescriptor(INT, words), name="big")
+        big.write_values(list(range(words)))
+        writer.wl_release(seg)
+        subsegments = seg.heap.subsegments
+        before = [writer.memory.load(sub.base, sub.size) for sub in subsegments]
+        twins_before = writer.stats.twins_created
+        faults_before = writer.memory.stats.write_faults
+
+        writer.tx_begin(seg)
+        big[5000] = -1                                   # one page
+        big.write_values([-2] * 2100, start=1000)        # a run of pages
+        big.write_values([-3] * words)                   # around the twinned ones
+        big.write_values([-4] * words)                   # all twinned: no fault
+        writer.accessor_for(seg, "label").set("scribbled")
+        assert writer.memory.stats.write_faults - faults_before == \
+            writer.stats.twins_created - twins_before  # each page twinned once
+        twinned = sum(stop - first for sub in subsegments
+                      for first, stop in sub.twinned_runs())
+        assert twinned == writer.stats.twins_created - twins_before >= 7
+        writer.tx_abort(seg)
+
+        assert [writer.memory.load(sub.base, sub.size)
+                for sub in subsegments] == before
+        assert all(sub.twins is None for sub in subsegments)
+        assert server.segments["host/tx"].state.version == 2  # only big's creation
+        writer.wl_acquire(seg)  # and the pages take stores again
+        big[0] = 7
+        writer.wl_release(seg)
+        assert server.segments["host/tx"].state.version == 3
+
     def test_abort_unwinds_creations(self, world):
         clock, hub, server, writer, seg = world
         free_before = seg.heap.free_bytes()
