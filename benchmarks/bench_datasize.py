@@ -45,7 +45,14 @@ Acceptance (see the tests below):
   benchmark's ``pointer_records`` shape, 1/8 of them rewritten and
   relinked: none of those names and no function called once per *unit*
   in the hot profile of the writer's release, of the server applying
-  that diff, or of a SPARC reader's read-acquire.
+  that diff, or of a SPARC reader's read-acquire;
+- the writer's *modifying stores* of that update (``record.key = ...``
+  through the typed accessors): nothing that re-derives a layout
+  (``_layout``, ``field_local_offset``, ``RecordDescriptor.field``,
+  ``element_stride``, ``_struct_format`` — offsets and codecs are fixed
+  once per (type, architecture) in an access plan) anywhere in the
+  profile, ``_fault_span`` entered at most once per page the section
+  faults, and at most 12 calls of any kind per field store.
 
 Results land in ``BENCH_datasize.json`` at the repo root plus a metrics
 sidecar in ``benchmarks/out/``.  Every phase is deadline-guarded
@@ -123,6 +130,15 @@ LEGACY_BASELINE = {
 #: show up in the hot profile of an MB-scale release
 BANNED_HOT_FUNCTIONS = {"_collect_per_unit", "_apply_per_unit",
                         "iter_units"}
+#: what a field store did on every access before access plans, as
+#: (file, function): none may appear anywhere in the profile of the stores
+BANNED_STORE_FUNCTIONS = {
+    ("descriptor.py", "_layout"), ("descriptor.py", "field_local_offset"),
+    ("descriptor.py", "field"), ("descriptor.py", "element_stride"),
+    ("architecture.py", "_struct_format")}
+#: profiled calls (Python functions and builtins) one field store may cost,
+#: the element lookups and the loop around it included (32 before plans)
+MAX_CALLS_PER_STORE = 12
 PROFILE_TOP_N = 25
 
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
@@ -263,6 +279,23 @@ def _hot_profile(profiler: cProfile.Profile, call_limit: int,
             **limits}
 
 
+def _store_profile(profiler: cProfile.Profile, stores: int, pages: int) -> dict:
+    """The whole profile of ``stores`` field stores that faulted ``pages``
+    pages: layout re-derivations in it, ``_fault_span`` entries against
+    the pages, and calls per store."""
+    stats = pstats.Stats(profiler)
+    calls = {(os.path.basename(filename), name): ncalls
+             for (filename, _, name), (_, ncalls, _, _, _) in stats.stats.items()}
+    # no call limit: every function on the store path runs once per store
+    return {**_hot_profile(profiler, call_limit=stats.total_calls + 1),
+            "stores": stores, "calls": stats.total_calls,
+            "calls_per_store": round(stats.total_calls / stores, 2),
+            "rederived": sorted(name for file, name in BANNED_STORE_FUNCTIONS
+                                if (file, name) in calls),
+            "fault_span_calls": calls.get(("mmu.py", "_fault_span"), 0),
+            "page_call_limit": pages}
+
+
 def _profiled(call) -> cProfile.Profile:
     profiler = cProfile.Profile()
     profiler.enable()
@@ -308,10 +341,11 @@ def _covered_units(diff) -> int:
 
 def _profile_pointer_update(records: int, deadline: _Deadline) -> dict:
     """cProfile one relinking write over an array of pointer/string
-    records at its three translate sites: the writer's release, the
-    server's apply of that diff (replayed on a second copy of the
-    segment, so the profile holds nothing else) and a big-endian
-    reader's read-acquire.  Nothing may loop once per unit."""
+    records: the writer's modifying stores (no layout re-derived, a fault
+    per page at most) and the three translate sites — the writer's
+    release, the server's apply of that diff (replayed on a second copy
+    of the segment, so the profile holds nothing else) and a big-endian
+    reader's read-acquire — where nothing may loop once per unit."""
     link = PointerDescriptor(target_name="node_t")
     node = RecordDescriptor("node_t", [
         Field("key", INT), Field("w", DOUBLE),
@@ -341,9 +375,12 @@ def _profile_pointer_update(records: int, deadline: _Deadline) -> dict:
         reader.rl_acquire(cached)
         reader.rl_release(cached)
         writer.wl_acquire(segment)
-        for index in rng.choice(records, records // POINTER_TOUCHED_SHARE,
-                                replace=False).tolist():
-            rewrite(array, index, salt=1)
+        touched = rng.choice(records, records // POINTER_TOUCHED_SHARE,
+                             replace=False).tolist()
+        twins = writer.stats.twins_created
+        modify = _profiled(lambda: [rewrite(array, index, salt=1)
+                                    for index in touched])
+        pages = writer.stats.twins_created - twins
         release = _profiled(lambda: writer.wl_release(segment))
         deadline.check("profiled pointer release")
         # the server's apply alone: bring a second copy of the segment to the
@@ -362,7 +399,8 @@ def _profile_pointer_update(records: int, deadline: _Deadline) -> dict:
         if cached.version != segment.version or shadow.version != segment.version:
             raise RuntimeError("a profiled pointer update applied nothing")
         reader.rl_release(cached)
-    return {"release": _hot_profile(release, call_limit=_covered_units(diff)),
+    return {"modify": _store_profile(modify, 3 * len(touched), pages),
+            "release": _hot_profile(release, call_limit=_covered_units(diff)),
             "server_apply": _hot_profile(server_apply,
                                          call_limit=_covered_units(diff)),
             "read_acquire": _hot_profile(read, call_limit=update_units),
@@ -467,9 +505,16 @@ def test_no_per_word_python_loop_in_profile():
 def test_no_per_unit_python_loop_in_pointer_profile():
     """Nor may a per-unit loop appear where strings and pointers are
     translated: the writer's release, the server's apply, and a SPARC
-    reader's read-acquire of a relinking write over 16k records."""
+    reader's read-acquire of a relinking write over 16k records.  The
+    stores that made the write re-derive no layout, enter the fault
+    machinery once per faulted page at most, and stay within the call
+    budget of a compiled access plan."""
     gates = _results()["profile_gate_pointers"]
     assert gates["diff_units"] >= gates["records"] // POINTER_TOUCHED_SHARE
+    modify = gates["modify"]
+    assert not modify["rederived"], modify["rederived"]
+    assert 0 < modify["fault_span_calls"] <= modify["page_call_limit"]
+    assert modify["calls_per_store"] <= MAX_CALLS_PER_STORE, modify
     for end in ("release", "server_apply", "read_acquire"):
         assert not gates[end]["offenders"], (end, gates[end]["offenders"])
 
@@ -508,6 +553,12 @@ def main() -> None:
              for end, gate in results["profile_gate"].items()]
     gates += [(f"{pointers['records']} pointer records, {end}", pointers[end])
               for end in ("release", "server_apply", "read_acquire")]
+    modify = pointers["modify"]
+    print(f"profile gate ({pointers['records']} pointer records, modify): "
+          f"{modify['calls_per_store']} calls per field store, "
+          f"{modify['fault_span_calls']} fault entries for "
+          f"{modify['page_call_limit']} pages, layouts re-derived: "
+          f"{modify['rederived'] or 'none'}")
     for label, gate in gates:
         print(f"profile gate ({label}): top-{gate['top_n']} clean"
               if not gate["offenders"] else

@@ -125,6 +125,10 @@ class Architecture:
             return prefix + ("I" if self.pointer_size == 4 else "Q")
         return prefix + _STRUCT_CODES[kind]
 
+    def prim_struct(self, kind: PrimKind) -> struct.Struct:
+        """A compiled codec for one primitive kind, for callers that keep it."""
+        return struct.Struct(self._struct_format(kind))
+
     def encode_prim(self, kind: PrimKind, value) -> bytes:
         """Encode one primitive value into this machine's native bytes.
 

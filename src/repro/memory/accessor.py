@@ -12,11 +12,18 @@ would, which is what drives twin creation and diffing.
 Scalar fields auto-unwrap: reading ``node.key`` yields an ``int``, reading
 ``node.next`` yields another accessor (or ``None`` for NULL).  Aggregate
 fields yield sub-accessors.
+
+The paper's IDL compiler fixes every field offset at compile time, so a
+store costs a store.  Here the same work is done once per (descriptor,
+architecture) and kept on the descriptor as an :class:`AccessPlan`;
+every accessor reads offsets, strides and value codecs from it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+import struct
+from functools import partial
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +38,7 @@ from repro.types import (
     StringDescriptor,
     TypeDescriptor,
 )
+from repro.types.descriptor import FieldIndex
 
 
 class AccessorContext:
@@ -47,27 +55,17 @@ class AccessorContext:
 def make_accessor(context: AccessorContext, descriptor: TypeDescriptor,
                   address: int) -> "Accessor":
     """Build the accessor class matching ``descriptor``."""
-    if isinstance(descriptor, RecordDescriptor):
-        return RecordAccessor(context, descriptor, address)
-    if isinstance(descriptor, ArrayDescriptor):
-        return ArrayAccessor(context, descriptor, address)
-    if isinstance(descriptor, PrimitiveDescriptor):
-        return PrimitiveAccessor(context, descriptor, address)
-    if isinstance(descriptor, StringDescriptor):
-        return StringAccessor(context, descriptor, address)
-    if isinstance(descriptor, PointerDescriptor):
-        return PointerAccessor(context, descriptor, address)
-    raise BlockError(f"no accessor for descriptor {descriptor!r}")
+    return access_plan(descriptor, context.arch).bind(context, address)
 
 
 class Accessor:
     """Base: a typed window at an address in simulated memory."""
 
-    __slots__ = ("_context", "_descriptor", "_address")
+    __slots__ = ("_plan", "_context", "_address")
 
-    def __init__(self, context: AccessorContext, descriptor: TypeDescriptor, address: int):
+    def __init__(self, plan: "AccessPlan", context: AccessorContext, address: int):
+        object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_context", context)
-        object.__setattr__(self, "_descriptor", descriptor)
         object.__setattr__(self, "_address", address)
 
     @property
@@ -76,7 +74,7 @@ class Accessor:
 
     @property
     def descriptor(self) -> TypeDescriptor:
-        return self._descriptor
+        return self._plan.descriptor
 
     @property
     def context(self) -> AccessorContext:
@@ -84,117 +82,59 @@ class Accessor:
 
     def raw_bytes(self) -> bytes:
         """The local-format bytes of this value (mainly for tests)."""
-        return self._context.memory.load(
-            self._address, self._descriptor.local_size(self._context.arch))
+        return self._context.memory.load(self._address, self._plan.size)
 
     def __eq__(self, other):
         return (isinstance(other, Accessor)
                 and other._address == self._address
                 and other._context is self._context
-                and other._descriptor == self._descriptor)
+                and other.descriptor == self.descriptor)
 
     def __hash__(self):
         return hash((id(self._context), self._address))
 
+    def __reduce__(self):
+        # the default protocol would set slots through RecordAccessor's
+        # field-storing __setattr__
+        return make_accessor, (self._context, self.descriptor, self._address)
+
     def __repr__(self):
-        return f"{type(self).__name__}({self._descriptor!r} @ {self._address:#x})"
+        return f"{type(self).__name__}({self.descriptor!r} @ {self._address:#x})"
 
 
-def _unwrap_get(context, descriptor, address):
-    """Read a field: scalars return values, aggregates return accessors."""
-    if isinstance(descriptor, PrimitiveDescriptor):
-        return PrimitiveAccessor(context, descriptor, address).get()
-    if isinstance(descriptor, StringDescriptor):
-        return StringAccessor(context, descriptor, address).get()
-    if isinstance(descriptor, PointerDescriptor):
-        return PointerAccessor(context, descriptor, address).get()
-    return make_accessor(context, descriptor, address)
-
-
-def _unwrap_set(context, descriptor, address, value) -> None:
-    """Write a field from a Python value (or copy from an accessor)."""
-    if isinstance(descriptor, PrimitiveDescriptor):
-        PrimitiveAccessor(context, descriptor, address).set(value)
-    elif isinstance(descriptor, StringDescriptor):
-        StringAccessor(context, descriptor, address).set(value)
-    elif isinstance(descriptor, PointerDescriptor):
-        PointerAccessor(context, descriptor, address).set(value)
-    elif isinstance(value, Accessor) and value.descriptor == descriptor:
-        # struct assignment: byte copy in matching local formats
-        if value.context.arch.name != context.arch.name:
-            raise BlockError("cannot byte-copy between different architectures")
-        context.memory.store(address, value.raw_bytes())
-    else:
-        raise BlockError(f"cannot assign {value!r} to aggregate {descriptor!r}")
-
-
-class PrimitiveAccessor(Accessor):
-    """A scalar char/short/int/hyper/float/double."""
+class _ValueAccessor(Accessor):
+    """A scalar: ``get`` and ``set`` move one value."""
 
     __slots__ = ()
 
     def get(self):
-        arch = self._context.arch
-        kind = self._descriptor.kind
-        data = self._context.memory.load(self._address, arch.prim_size(kind))
-        value = arch.decode_prim(kind, data)
-        return chr(value) if kind is PrimKind.CHAR else value
+        return self._plan.get(self._context, self._address)
 
     def set(self, value) -> None:
-        arch = self._context.arch
-        self._context.memory.store(
-            self._address, arch.encode_prim(self._descriptor.kind, value))
+        self._plan.set(self._context, self._address, value)
 
 
-class StringAccessor(Accessor):
+class PrimitiveAccessor(_ValueAccessor):
+    """A scalar char/short/int/hyper/float/double."""
+
+    __slots__ = ()
+
+
+class StringAccessor(_ValueAccessor):
     """A bounded, NUL-terminated string buffer."""
 
     __slots__ = ()
 
-    def get(self) -> str:
-        data = self._context.memory.load(self._address, self._descriptor.capacity)
-        nul = data.find(b"\x00")
-        return (data if nul < 0 else data[:nul]).decode("utf-8", errors="replace")
 
-    def set(self, value: str) -> None:
-        capacity = self._descriptor.capacity
-        encoded = value.encode("utf-8")
-        if len(encoded) > capacity - 1:
-            raise BlockError(
-                f"string of {len(encoded)} bytes exceeds capacity {capacity} "
-                "(one byte is reserved for the terminator)")
-        self._context.memory.store(
-            self._address, encoded + b"\x00" * (capacity - len(encoded)))
-
-
-class PointerAccessor(Accessor):
-    """A typed pointer holding a simulated machine address (NULL = 0)."""
+class PointerAccessor(_ValueAccessor):
+    """A typed pointer holding a simulated machine address (NULL = 0);
+    ``get`` yields an accessor for the target (``None`` for NULL), ``set``
+    takes ``None``, an address or an accessor."""
 
     __slots__ = ()
 
-    def get(self) -> Optional[Accessor]:
-        address = self.address_value()
-        if address == 0:
-            return None
-        return make_accessor(self._context, self._descriptor.target, address)
-
     def address_value(self) -> int:
-        arch = self._context.arch
-        data = self._context.memory.load(self._address, arch.pointer_size)
-        return arch.decode_prim(PrimKind.POINTER, data)
-
-    def set(self, target: Union[None, int, Accessor]) -> None:
-        if target is None:
-            address = 0
-        elif isinstance(target, Accessor):
-            address = target.address
-        elif isinstance(target, int):
-            address = target
-        else:
-            raise BlockError(f"cannot store {target!r} into a pointer")
-        arch = self._context.arch
-        self._context.memory.store(
-            self._address, arch.encode_prim(PrimKind.POINTER, address))
+        return self._context.arch.decode_prim(PrimKind.POINTER, self.raw_bytes())
 
 
 class RecordAccessor(Accessor):
@@ -202,30 +142,28 @@ class RecordAccessor(Accessor):
 
     __slots__ = ()
 
-    def _field_address(self, name: str) -> int:
-        descriptor: RecordDescriptor = self._descriptor
-        return self._address + descriptor.field_local_offset(self._context.arch, name)
-
     def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        descriptor: RecordDescriptor = self._descriptor
-        field = descriptor.field(name)
-        return _unwrap_get(self._context, field.descriptor, self._field_address(name))
+        offset, plan = self._plan.fields[name]
+        return plan.get(self._context, self._address + offset)
 
     def __setattr__(self, name: str, value) -> None:
-        descriptor: RecordDescriptor = self._descriptor
-        field = descriptor.field(name)
-        _unwrap_set(self._context, field.descriptor, self._field_address(name), value)
+        offset, plan = self._plan.fields[name]
+        plan.set(self._context, self._address + offset, value)
 
     def field_accessor(self, name: str) -> Accessor:
         """An accessor for a field even when it is a scalar (no unwrap)."""
-        descriptor: RecordDescriptor = self._descriptor
-        field = descriptor.field(name)
-        return make_accessor(self._context, field.descriptor, self._field_address(name))
+        offset, plan = self._plan.fields[name]
+        return plan.bind(self._context, self._address + offset)
 
     def field_names(self):
-        return [field.name for field in self._descriptor.fields]
+        return list(self._plan.fields)
+
+
+def _bad_index(error: Exception, index, plan: "AccessPlan") -> Exception:
+    if isinstance(error, IndexError):
+        return IndexError(
+            f"array index {index} out of range [0, {len(plan.offsets)})")
+    return TypeError(f"array index must be an integer, not {index!r}")
 
 
 class ArrayAccessor(Accessor):
@@ -234,28 +172,36 @@ class ArrayAccessor(Accessor):
     __slots__ = ()
 
     def __len__(self) -> int:
-        return self._descriptor.count
+        return len(self._plan.offsets)
 
-    def _element_address(self, index: int) -> int:
-        descriptor: ArrayDescriptor = self._descriptor
-        count = descriptor.count
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError(f"array index {index} out of range [0, {count})")
-        return self._address + index * descriptor.element_stride(self._context.arch)
+    # ``offsets[index]`` wraps a negative index, bounds-checks it and
+    # refuses a non-integer in one C-level subscript; a slice comes back
+    # as a range, which the addition refuses.  Written out in each of the
+    # three methods: a shared helper would be one more call per access.
 
     def __getitem__(self, index: int):
-        descriptor: ArrayDescriptor = self._descriptor
-        return _unwrap_get(self._context, descriptor.element, self._element_address(index))
+        plan = self._plan
+        try:
+            address = self._address + plan.offsets[index]
+        except (IndexError, TypeError) as error:
+            raise _bad_index(error, index, plan) from None
+        return plan.element.get(self._context, address)
 
     def __setitem__(self, index: int, value) -> None:
-        descriptor: ArrayDescriptor = self._descriptor
-        _unwrap_set(self._context, descriptor.element, self._element_address(index), value)
+        plan = self._plan
+        try:
+            address = self._address + plan.offsets[index]
+        except (IndexError, TypeError) as error:
+            raise _bad_index(error, index, plan) from None
+        plan.element.set(self._context, address, value)
 
     def element_accessor(self, index: int) -> Accessor:
-        return make_accessor(
-            self._context, self._descriptor.element, self._element_address(index))
+        plan = self._plan
+        try:
+            address = self._address + plan.offsets[index]
+        except (IndexError, TypeError) as error:
+            raise _bad_index(error, index, plan) from None
+        return plan.element.bind(self._context, address)
 
     def __iter__(self):
         for index in range(len(self)):
@@ -269,7 +215,7 @@ class ArrayAccessor(Accessor):
         Only valid for arrays of fixed-size primitives; values are encoded
         in the architecture's local format with numpy.
         """
-        descriptor: ArrayDescriptor = self._descriptor
+        descriptor: ArrayDescriptor = self._plan.descriptor
         element = descriptor.element
         if not isinstance(element, PrimitiveDescriptor):
             raise BlockError("write_values requires an array of primitives")
@@ -281,7 +227,7 @@ class ArrayAccessor(Accessor):
 
     def read_values(self, start: int = 0, count: Optional[int] = None) -> np.ndarray:
         """Bulk-load primitive values as a numpy array."""
-        descriptor: ArrayDescriptor = self._descriptor
+        descriptor: ArrayDescriptor = self._plan.descriptor
         element = descriptor.element
         if not isinstance(element, PrimitiveDescriptor):
             raise BlockError("read_values requires an array of primitives")
@@ -293,3 +239,136 @@ class ArrayAccessor(Accessor):
         data = self._context.memory.load(self._address + start * dtype.itemsize,
                                          count * dtype.itemsize)
         return np.frombuffer(data, dtype=dtype)
+
+
+# -- access plans ----------------------------------------------------------------
+
+
+class AccessPlan:
+    """How values of one type are reached on one architecture: offsets,
+    strides and codecs worked out once.
+
+    ``get`` reads what ``record.field`` yields (a value for scalars, an
+    accessor for aggregates), ``set`` stores a Python value (or copies an
+    aggregate), ``bind`` makes the accessor itself; all take
+    ``(context, address)``.  A record has ``fields`` (name -> (byte
+    offset, plan)); an array has ``element`` (its plan) and ``offsets``,
+    the range of its elements' byte offsets.
+    """
+
+    __slots__ = ("descriptor", "size", "bind", "get", "set",
+                 "fields", "element", "offsets")
+
+    def __init__(self, descriptor: TypeDescriptor, arch: Architecture):
+        self.descriptor = descriptor
+        self.fields = self.element = self.offsets = None
+        ops = None  # aggregates: reading yields the accessor, storing copies
+        if isinstance(descriptor, RecordDescriptor):
+            cls = RecordAccessor
+            self.fields = FieldIndex(descriptor.name, (
+                (field.name, (offset, access_plan(field.descriptor, arch)))
+                for field, offset, _ in descriptor.iter_field_layout(arch)))
+        elif isinstance(descriptor, ArrayDescriptor):
+            cls = ArrayAccessor
+            self.element = access_plan(descriptor.element, arch)
+            stride = descriptor.element_stride(arch)
+            self.offsets = range(0, descriptor.count * stride, stride)
+        elif isinstance(descriptor, PrimitiveDescriptor):
+            cls, ops = PrimitiveAccessor, _primitive_ops(descriptor.kind, arch)
+        elif isinstance(descriptor, StringDescriptor):
+            cls, ops = StringAccessor, _string_ops(descriptor.capacity)
+        elif isinstance(descriptor, PointerDescriptor):
+            cls, ops = PointerAccessor, _pointer_ops(descriptor, arch)
+        else:
+            raise BlockError(f"no accessor for descriptor {descriptor!r}")
+        self.size = descriptor.local_size(arch)
+        self.bind = partial(cls, self)
+        self.get, self.set = ops or (self.bind, self._copy_from)
+
+    def _copy_from(self, context: AccessorContext, address: int, value) -> None:
+        """Struct assignment: a byte copy in matching local formats."""
+        if not (isinstance(value, Accessor) and value.descriptor == self.descriptor):
+            raise BlockError(f"cannot assign {value!r} to aggregate {self.descriptor!r}")
+        if value.context.arch.name != context.arch.name:
+            raise BlockError("cannot byte-copy between different architectures")
+        context.memory.store(address, value.raw_bytes())
+
+
+def access_plan(descriptor: TypeDescriptor, arch: Architecture) -> AccessPlan:
+    """The plan for (``descriptor``, ``arch``), built on first use and kept
+    on the descriptor instance."""
+    plans = getattr(descriptor, "_access_plans", None) or {}
+    plan = plans.get(arch.name)
+    if plan is None:
+        plan = plans[arch.name] = AccessPlan(descriptor, arch)
+        descriptor._access_plans = plans
+    return plan
+
+
+def _packed_ops(codec: struct.Struct, what: str, encode=None, decode=None):
+    """``(get, set)`` of a scalar held as one packed number; ``encode`` /
+    ``decode`` stand between it and the Python value where they differ."""
+    pack, unpack, size = codec.pack, codec.unpack, codec.size
+
+    def get(context, address):
+        number = unpack(context.memory.load(address, size))[0]
+        return decode(context, number) if decode else number
+
+    def set(context, address, value):
+        try:
+            data = pack(encode(value) if encode else value)
+        except (struct.error, OverflowError, TypeError):
+            raise BlockError(f"cannot store {value!r} as {what}") from None
+        context.memory.store(address, data)
+
+    return get, set
+
+
+def _primitive_ops(kind: PrimKind, arch: Architecture):
+    codec = arch.prim_struct(kind)
+    if kind is not PrimKind.CHAR:
+        return _packed_ops(codec, kind.value)
+    return _packed_ops(
+        codec, kind.value,
+        lambda value: ord(value) if isinstance(value, str) else value,
+        lambda context, code: chr(code))
+
+
+def _pointer_ops(descriptor: PointerDescriptor, arch: Architecture):
+    def address_of(target):
+        if isinstance(target, Accessor):
+            return target._address
+        return 0 if target is None else target
+
+    def dereference(context, address):
+        if address == 0:
+            return None
+        # read now, not when the plan was built: a recursive type assigns
+        # ``target`` after construction
+        return access_plan(descriptor.target, arch).bind(context, address)
+
+    return _packed_ops(arch.prim_struct(PrimKind.POINTER), "pointer",
+                       address_of, dereference)
+
+
+def _string_ops(capacity: int):
+    padding = bytes(capacity)
+
+    def get(context, address):
+        data = context.memory.load(address, capacity)
+        nul = data.find(b"\x00")
+        return (data if nul < 0 else data[:nul]).decode("utf-8", errors="replace")
+
+    def set(context, address, value):
+        try:
+            encoded = value.encode("utf-8")
+        except (AttributeError, UnicodeError):
+            raise BlockError(f"cannot store {value!r} as string<{capacity}>") from None
+        size = len(encoded)
+        if size >= capacity:
+            raise BlockError(
+                f"string of {size} bytes exceeds capacity {capacity} "
+                "(one byte is reserved for the terminator)")
+        context.memory.store(address, encoded + padding[size:])
+
+    return get, set

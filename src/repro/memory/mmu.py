@@ -210,7 +210,10 @@ class AddressSpace:
         mapping = self._mapping_at(address)
         offset = address - mapping.base
         if address + size <= mapping.end:
-            self._fault_span(mapping, offset, size)
+            shift = self._page_shift
+            if mapping.protected.find(
+                    1, offset >> shift, ((offset + size - 1) >> shift) + 1) >= 0:
+                self._fault_span(mapping, offset, size)
             mapping.view[offset:offset + size] = data
             return
         spans = list(self._spans(address, size))

@@ -45,7 +45,6 @@ from repro.transport.base import Channel
 from repro.wire.messages import (
     REPL_DIFF,
     REPL_LEASE,
-    REPL_PROMOTE,
     ErrorReply,
     ReplicateAck,
     ReplicateAppendRequest,
@@ -389,11 +388,6 @@ class ReplicationSender:
         return reply
 
     # -- lifecycle ------------------------------------------------------------
-
-    def send_promote(self) -> None:
-        """Synchronously tell the backup to become primary."""
-        self._request(ReplicateAppendRequest(kind=REPL_PROMOTE,
-                                             client_id=self.client_id))
 
     def dirty_segments(self) -> Set[str]:
         """Segments with a known gap at the backup (diagnostics)."""

@@ -90,10 +90,6 @@ class SegmentCoherence:
         view.subscribed = enable
         view.notified = False
 
-    def drop_client(self, client_id: str) -> None:
-        with self._lock:
-            self.views.pop(client_id, None)
-
     def subscriber_count(self) -> int:
         return sum(1 for view in self._snapshot() if view.subscribed)
 

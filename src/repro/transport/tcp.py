@@ -95,10 +95,6 @@ def _sendmsg_all(sock: socket.socket, buffers: Iterable[bytes]) -> None:
             views[0] = views[0][sent:]
 
 
-def _send_frame(sock: socket.socket, payload: bytes) -> None:
-    _sendmsg_all(sock, (_LEN.pack(len(payload)), payload))
-
-
 def _recv_exact(sock: socket.socket, size: int) -> Optional[bytes]:
     chunks = []
     remaining = size

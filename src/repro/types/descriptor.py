@@ -33,6 +33,9 @@ class TypeDescriptor:
 
     #: number of primitive data units in one instance (machine-independent)
     prim_count: int
+    #: access plans by architecture name, one dict per instance, created
+    #: and filled by :func:`repro.memory.accessor.access_plan`
+    _access_plans: Optional[dict] = None
 
     def local_size(self, arch: Architecture) -> int:
         """Size in bytes of one instance in ``arch``'s local format."""
@@ -190,6 +193,22 @@ class Field:
         return f"Field({self.name}: {self.descriptor!r})"
 
 
+class FieldIndex(dict):
+    """Field name -> whatever a record keeps per field; a name that is not
+    a field raises an error that is both a :class:`TypeDescriptorError`
+    and the ``AttributeError`` that ``hasattr`` / ``getattr`` expect."""
+
+    class NoSuchField(TypeDescriptorError, AttributeError):
+        pass
+
+    def __init__(self, record_name: str, entries):
+        super().__init__(entries)
+        self.record_name = record_name
+
+    def __missing__(self, name):
+        raise self.NoSuchField(f"record {self.record_name!r} has no field {name!r}")
+
+
 class RecordDescriptor(TypeDescriptor):
     """A record (struct) of named, heterogeneous fields.
 
@@ -202,14 +221,17 @@ class RecordDescriptor(TypeDescriptor):
     def __init__(self, name: str, fields: List[Field]):
         if not fields:
             raise TypeDescriptorError(f"record {name!r} must have at least one field")
-        seen = set()
-        for field in fields:
-            if field.name in seen:
-                raise TypeDescriptorError(f"record {name!r}: duplicate field {field.name!r}")
-            seen.add(field.name)
         self.name = name
         self.fields = list(fields)
-        self.prim_count = sum(field.descriptor.prim_count for field in fields)
+        #: name -> (position, field, primitive offset)
+        self._index = FieldIndex(name, ())
+        prim = 0
+        for position, field in enumerate(fields):
+            if field.name in self._index:
+                raise TypeDescriptorError(f"record {name!r}: duplicate field {field.name!r}")
+            self._index[field.name] = (position, field, prim)
+            prim += field.descriptor.prim_count
+        self.prim_count = prim
         self._layout_cache: Dict[str, Tuple[int, int, List[int]]] = {}
 
     # -- layout ---------------------------------------------------------------
@@ -241,25 +263,14 @@ class RecordDescriptor(TypeDescriptor):
 
     def field_local_offset(self, arch: Architecture, name: str) -> int:
         """Byte offset of field ``name`` in ``arch``'s local format."""
-        for field, offset in zip(self.fields, self._layout(arch)[2]):
-            if field.name == name:
-                return offset
-        raise TypeDescriptorError(f"record {self.name!r} has no field {name!r}")
+        return self._layout(arch)[2][self._index[name][0]]
 
     def field_prim_offset(self, name: str) -> int:
         """Machine-independent primitive offset of field ``name``."""
-        prim = 0
-        for field in self.fields:
-            if field.name == name:
-                return prim
-            prim += field.descriptor.prim_count
-        raise TypeDescriptorError(f"record {self.name!r} has no field {name!r}")
+        return self._index[name][2]
 
     def field(self, name: str) -> Field:
-        for field in self.fields:
-            if field.name == name:
-                return field
-        raise TypeDescriptorError(f"record {self.name!r} has no field {name!r}")
+        return self._index[name][1]
 
     def iter_field_layout(self, arch: Architecture):
         """Yield (field, local_byte_offset, prim_offset) in declaration order."""
