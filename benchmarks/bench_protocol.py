@@ -38,12 +38,23 @@ end; it is now backed by one growable ``bytearray``.  The
 walk over ``Message.FIELDS``) against hand-inlined encode/decode of the
 three ``small_sections`` control messages, kept here as the reference.
 
+**Serial RPC** (``serial_rpc``): the bare request path — an echo
+dispatcher in a child process, one :class:`TCPChannel`, one request at a
+time, 100 B and 26 KB payloads, on both server cores; p50 / p90 in
+microseconds.  It prices the hand-offs between reading a frame and
+sending its reply, with no lock protocol on top.  The numbers depend on
+which ``src/`` is on ``PYTHONPATH``, so a previous commit can be
+measured by this same file: ``--serial-rpc-baseline LABEL`` measures and
+stores the point under ``serial_rpc.baseline`` (kept by later runs).
+
 Results land in ``BENCH_protocol.json`` at the repo root plus a metrics
 sidecar in ``benchmarks/out/``.
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_protocol.py
+    PYTHONPATH=/path/to/parent/src python benchmarks/bench_protocol.py \
+        --serial-rpc-baseline parent@565f18d
 
 as a test (pipelining + codec only)::
 
@@ -59,6 +70,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -72,7 +84,7 @@ from common import LatencyRelay, make_tcp_server_transport, make_world
 from repro import ClientOptions, InterWeaveClient, InterWeaveServer, temporal
 from repro.arch import X86_32
 from repro.obs import get_registry, write_sidecar
-from repro.transport import MultiplexingChannel, TCPChannel
+from repro.transport import Dispatcher, MultiplexingChannel, TCPChannel
 from repro.types import INT
 from repro.wire.codec import Reader, Writer
 from repro.wire.messages import (
@@ -289,6 +301,86 @@ def run_pipelining_comparison(duration: float = DURATION) -> dict:
 
 
 # =============================================================================
+# serial RPC: the bare request path, one frame in flight
+# =============================================================================
+
+#: (label, payload bytes, timed requests): a control message, and the
+#: diff of one ``replicated_relay`` section
+SERIAL_RPC_POINTS = (("100B", 100, 4000), ("26KB", 26000, 2000))
+SERIAL_RPC_WARMUP = 300
+
+
+class _Echo(Dispatcher):
+    def dispatch(self, client_id, data):
+        return data
+
+
+def _echo_server_main(core: str) -> None:
+    """Child process: serve echoes on ``core`` until stdin closes."""
+    transport = make_tcp_server_transport(_Echo(), core)
+    print(transport.port, flush=True)
+    sys.stdin.read()
+    transport.close()
+
+
+def run_serial_rpc() -> dict:
+    """p50 / p90 of one echo round trip per core and payload size."""
+    results: dict = {}
+    for core in ("threads", "asyncio"):
+        child = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--echo-server", core],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            port = int(child.stdout.readline())
+            channel = TCPChannel("127.0.0.1", port, "serial-rpc", timeout=30.0)
+            results[core] = {}
+            for label, size, count in SERIAL_RPC_POINTS:
+                payload = bytes(size)
+                for _ in range(SERIAL_RPC_WARMUP):
+                    channel.request(payload)
+                samples = []
+                for _ in range(count):
+                    started = time.perf_counter_ns()
+                    reply = channel.request(payload)
+                    samples.append(time.perf_counter_ns() - started)
+                    assert len(reply) == size
+                samples.sort()
+                results[core][label] = {
+                    "p50_us": samples[count // 2] / 1e3,
+                    "p90_us": samples[count * 9 // 10] / 1e3,
+                    "samples": count,
+                }
+            channel.close()
+        finally:
+            child.stdin.close()
+            child.wait(timeout=10.0)
+    return results
+
+
+def _stored_serial_rpc_baseline():
+    """The ``serial_rpc.baseline`` already in BENCH_protocol.json: it was
+    measured against another ``src/`` and this run cannot reproduce it."""
+    try:
+        with open(RESULTS_PATH) as handle:
+            return json.load(handle)["serial_rpc"]["baseline"]
+    except (OSError, ValueError, KeyError):
+        return None
+
+
+def record_serial_rpc_baseline(label: str) -> dict:
+    """Measure whatever ``repro`` is importable and store it as the
+    baseline, leaving the rest of BENCH_protocol.json alone."""
+    baseline = dict(run_serial_rpc(), label=label)
+    with open(RESULTS_PATH) as handle:
+        results = json.load(handle)
+    results.setdefault("serial_rpc", {})["baseline"] = baseline
+    with open(RESULTS_PATH, "w") as handle:
+        json.dump(results, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return baseline
+
+
+# =============================================================================
 # codec Writer microbenchmark: list-of-parts + join vs growable bytearray
 # =============================================================================
 
@@ -462,8 +554,13 @@ def run_message_codec_microbench(loops: int = 20000, rounds: int = 5) -> dict:
 def run_all(duration: float = DURATION) -> dict:
     registry = get_registry()
     registry.reset()
+    serial_rpc = run_serial_rpc()
+    baseline = _stored_serial_rpc_baseline()
+    if baseline is not None:
+        serial_rpc["baseline"] = baseline
     results = {
         "pipelining": run_pipelining_comparison(duration),
+        "serial_rpc": serial_rpc,
         "codec_writer": run_codec_microbench(),
         "codec_messages": run_message_codec_microbench(),
     }
@@ -496,6 +593,17 @@ def test_pipelining_speedup():
     assert comparison["speedup"] >= 3.0, comparison
 
 
+def test_serial_rpc_is_recorded():
+    """Both cores answer the bare echo at both payload sizes (the numbers
+    are compared across commits, not against a fixed bar)."""
+    serial_rpc = _results()["serial_rpc"]
+    for core in ("threads", "asyncio"):
+        for label, _size, count in SERIAL_RPC_POINTS:
+            point = serial_rpc[core][label]
+            assert point["samples"] == count
+            assert 0 < point["p50_us"] <= point["p90_us"]
+
+
 def test_codec_writer_bytearray_wins():
     """The bytearray-backed Writer must not lose to the list+join one on
     a diff-shaped field mix (observed: comfortably faster)."""
@@ -511,8 +619,25 @@ def test_codec_messages_schema_walk_is_cheap():
     assert codec["ratio"] <= 1.5, codec
 
 
+def _print_serial_rpc(title: str, point: dict) -> None:
+    for core in ("threads", "asyncio"):
+        print(f"serial rpc [{title}] {core:>8s}: " + ", ".join(
+            f"{label} p50 {point[core][label]['p50_us']:.0f} / "
+            f"p90 {point[core][label]['p90_us']:.0f} us"
+            for label, _size, _count in SERIAL_RPC_POINTS))
+
+
 def main() -> None:
+    if sys.argv[1:2] == ["--echo-server"]:
+        return _echo_server_main(sys.argv[2])
+    if sys.argv[1:2] == ["--serial-rpc-baseline"]:
+        return _print_serial_rpc(
+            sys.argv[2], record_serial_rpc_baseline(sys.argv[2]))
     results = _results()
+    _print_serial_rpc("this src", results["serial_rpc"])
+    if "baseline" in results["serial_rpc"]:
+        baseline = results["serial_rpc"]["baseline"]
+        _print_serial_rpc(baseline["label"], baseline)
     comparison = results["pipelining"]
     config = comparison["config"]
     print(f"transport pipelining ({config['threads']} threads, one TCP "

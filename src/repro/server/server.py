@@ -746,11 +746,18 @@ class InterWeaveServer(Dispatcher):
             diff.to_version = new_version
             encoded = encode_segment_diff(diff)
             self.diff_cache.put(state.name, from_version, new_version, encoded)
-            # The commit becomes durable *before* the reply leaves: once a
-            # client sees the ack, no crash may lose this version.  WAL
-            # appends stay under the segment write lock so records land in
-            # version order.  An append failure degrades durability but
-            # must not fail a commit other clients can already see.
+            # The backup gets the record first, so its hop, apply and fsync
+            # overlap ours; both hand-offs stay under the segment write
+            # lock, so stream, commit and WAL order agree.  The commit is
+            # durable *before* the reply leaves: once a client sees the
+            # ack, no crash may lose this version (a crash in between
+            # leaves the backup one unacknowledged version ahead, undone
+            # by _replicate_append's duplicate rule).  An append failure
+            # degrades durability but must not fail a visible commit.
+            if self.replicator is not None:
+                ticket = self.replicator.append_diff(
+                    state.name, from_version, new_version, encoded, now,
+                    ticket=self.quorum_ack)
             if self.wal is not None:
                 try:
                     self.wal.append(state.name, from_version, new_version,
@@ -759,10 +766,6 @@ class InterWeaveServer(Dispatcher):
                     self._m_wal_errors.inc()
                     _log.exception("WAL append failed for %r @%d",
                                    state.name, new_version)
-            if self.replicator is not None:
-                ticket = self.replicator.append_diff(
-                    state.name, from_version, new_version, encoded, now,
-                    ticket=self.quorum_ack)
             pending = self._stale_notifications(entry)
             # encode the periodic checkpoint under the lock (it must be a
             # consistent image) but keep the disk write for after release —
@@ -1167,8 +1170,13 @@ class InterWeaveServer(Dispatcher):
         with self._write_locked(entry):
             state = entry.state
             if request.to_version <= state.version:
-                # duplicate delivery (sender retry): already applied
-                return ReplicateAck(ok=True, version=state.version)
+                # a duplicate (sender retry) is acked only if it is the very
+                # record applied here: an upstream that restarted behind us
+                # sends other bytes, and the nack has it reinstall the segment
+                applied = (request.from_version, request.to_version,
+                           request.payload) in self.diff_cache.entries_for(
+                               state.name)
+                return ReplicateAck(ok=applied, version=state.version)
             if request.from_version != state.version:
                 # gap: the stream skipped versions (e.g. the backup
                 # attached late); only a catchup can close it
@@ -1180,6 +1188,13 @@ class InterWeaveServer(Dispatcher):
             # a replicated diff is a completed release at the primary
             with entry.meta:
                 entry.writer = None
+            if self.replicator is not None:
+                # chained replication (primary → backup → backup): enqueued
+                # under the segment write lock so the downstream stream keeps
+                # version order, ahead of the local fsync as in _release
+                self.replicator.append_diff(state.name, request.from_version,
+                                            new_version, request.payload,
+                                            request.timestamp)
             if self.wal is not None:
                 try:
                     self.wal.append(state.name, request.from_version,
@@ -1189,13 +1204,6 @@ class InterWeaveServer(Dispatcher):
                     self._m_wal_errors.inc()
                     _log.exception("backup WAL append failed for %r @%d",
                                    state.name, new_version)
-            if self.replicator is not None:
-                # chained replication (primary → backup → backup): the
-                # enqueue happens under the segment write lock so the
-                # downstream stream preserves version order
-                self.replicator.append_diff(state.name, request.from_version,
-                                            new_version, request.payload,
-                                            request.timestamp)
         self._m_replica_appends.inc()
         return ReplicateAck(ok=True, version=new_version)
 

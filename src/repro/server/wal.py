@@ -40,6 +40,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+import time
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -314,8 +315,6 @@ class WriteAheadLog:
 
     def append(self, segment_name: str, from_version: int, to_version: int,
                encoded: bytes, timestamp: float = 0.0) -> int:
-        import time
-
         started = time.perf_counter()
         written = self.for_segment(segment_name).append(
             from_version, to_version, encoded, timestamp)

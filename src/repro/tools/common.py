@@ -26,8 +26,8 @@ def add_io_arguments(parser: "argparse.ArgumentParser") -> None:
     """
     parser.add_argument("--io", choices=("threads", "asyncio"),
                         default="threads",
-                        help="server I/O backend: 'threads' = one "
-                             "reader/writer thread pair per connection; "
+                        help="server I/O backend: 'threads' = two threads "
+                             "per connection taking turns to read and answer; "
                              "'asyncio' = one event loop for every "
                              "connection (10k+ connections)")
     parser.add_argument("--gateway-port", type=int, default=None,

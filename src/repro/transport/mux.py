@@ -5,13 +5,13 @@ request per connection — every RPC pays a full round trip before the
 next can start, so a client touching many segments leaves the PR 3
 per-segment server locks idle.  This module pipelines:
 
-- :class:`_MuxCore` owns one socket plus a reader and a writer thread.
-  Requests are registered in per-request *wait slots* keyed by the
-  ``(nonce, seq)`` pair the reply frame echoes, so replies are matched
-  to waiters by identity, not arrival order.  The writer coalesces
-  frames that queue up while a previous send is on the wire into one
-  gathered ``sendmsg`` (small requests batch under load; a lone request
-  still leaves immediately — ``TCP_NODELAY`` stays set).
+- :class:`_MuxCore` owns one socket and a reader thread.  Requests are
+  registered in per-request *wait slots* keyed by the ``(nonce, seq)``
+  pair the reply frame echoes, so replies are matched to waiters by
+  identity, not arrival order.  A submitter sends its own frame through
+  the send-combining section the server uses (``tcp._SendCombiner``):
+  frames that pile up behind a send leave in one gathered ``sendmsg``
+  (a lone request still leaves at once — ``TCP_NODELAY`` stays set).
 - :class:`MultiplexingChannel` is a virtual channel over a core: its own
   client id, session nonce, and sequence space, so the server's
   :class:`~repro.transport.ReplyCache` and lock tables see it as an
@@ -34,7 +34,6 @@ on every timeout precisely because it cannot tell replies apart.
 from __future__ import annotations
 
 import os
-import queue
 import socket
 import threading
 import time
@@ -51,13 +50,11 @@ from repro.transport.base import Channel, ReplyFuture
 from repro.transport.retry import RetryPolicy, is_retryable
 from repro.transport.tcp import (
     _recv_frame,
+    _SendCombiner,
     _sendmsg_all,
     request_frame_buffers,
     split_reply_frame,
 )
-
-#: cap on request frames coalesced into one sendmsg batch
-_MAX_SEND_BATCH = 32
 
 
 class _Slot:
@@ -72,16 +69,16 @@ class _Slot:
         #: reached the wire at least once (reconnect re-sends only these;
         #: never-sent slots are still queued and go out normally)
         self.sent = False
-        #: abandoned by its waiter; the writer skips it
+        #: abandoned by its waiter; the send section skips it
         self.dead = False
 
 
 class _MuxCore:
     """The shared half of a multiplexed connection: one socket, one
-    reader thread, one writer thread, and the wait-slot table.
+    reader thread, one send-combining section, and the wait-slot table.
 
-    The reader owns the socket's lifecycle.  On a socket error (from
-    either thread) the socket is invalidated; with a
+    The reader owns the socket's lifecycle.  On a socket error (the
+    reader's or a sender's) the socket is invalidated; with a
     :class:`RetryPolicy` the reader reconnects with backoff and re-sends
     the in-flight window, failing all waiters with
     :class:`~repro.errors.RetryExhausted` if one cycle's budget runs
@@ -99,7 +96,7 @@ class _MuxCore:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._slots: Dict[Tuple[int, int], _Slot] = {}
-        self._send_queue: "queue.Queue" = queue.Queue()
+        self._out = _SendCombiner(self._send_frames)
         self._sock: Optional[socket.socket] = None
         self._closed = False
         self._close_event = threading.Event()
@@ -114,10 +111,10 @@ class _MuxCore:
             "requests awaiting replies on multiplexed connections")
         self._m_batch = metrics.histogram(
             "transport.mux.batch_frames",
-            help="request frames coalesced into each sendmsg batch")
+            help="request frames per sendmsg")
         self._m_queue_wait = metrics.histogram(
             "transport.mux.send_queue_wait_seconds",
-            help="time requests spent queued behind the mux writer")
+            help="time requests waited behind another send or a reconnect")
         self._m_orphans = metrics.counter(
             "transport.mux.orphan_replies",
             "replies that arrived after their waiter gave up (or duplicates)")
@@ -129,10 +126,7 @@ class _MuxCore:
         self._sock = self._connect()  # eager: construction surfaces bad endpoints
         self._reader = threading.Thread(
             target=self._read_loop, name="repro-mux-reader", daemon=True)
-        self._writer = threading.Thread(
-            target=self._write_loop, name="repro-mux-writer", daemon=True)
         self._reader.start()
-        self._writer.start()
 
     # -- connection management ------------------------------------------------
 
@@ -166,7 +160,6 @@ class _MuxCore:
                 return False
             self._sock = None
             self.last_error = str(error)
-            self._cond.notify_all()
         try:
             sock.close()
         except OSError:
@@ -182,9 +175,9 @@ class _MuxCore:
             slot.future.fail(error)
 
     def _reconnect(self) -> None:
-        """Reader-owned: re-establish the socket and re-send the
-        unacknowledged in-flight window (slots that reached the wire);
-        the server's reply cache deduplicates anything it already ran."""
+        """Reader-owned: re-establish the socket and send what waited for
+        it plus the unacknowledged in-flight window (slots that reached the
+        wire; the server's reply cache deduplicates anything it ran)."""
         failures = 0
         while not self._closed:
             started = time.perf_counter()
@@ -215,21 +208,15 @@ class _MuxCore:
                 window = sorted(
                     (s for s in self._slots.values() if s.sent and not s.dead),
                     key=lambda s: s.key[1])
-                self._cond.notify_all()
             self.reconnects += 1
             self._m_reconnects.inc()
             self._m_reconnect_seconds.observe(time.perf_counter() - started)
             for listener in list(self._listeners):
                 listener()
-            if window:
-                buffers: List[bytes] = []
-                for slot in window:
-                    buffers.extend(slot.buffers)
-                try:
-                    _sendmsg_all(sock, buffers)
-                except OSError as error:
-                    if self._invalidate(sock, error):
-                        continue  # the new socket died instantly: retry
+            # through the send section: a submitter may already be sending
+            # on the new socket (if it dies at once, the read loop is back)
+            now = time.perf_counter()
+            self._out.push(*[(slot, now) for slot in window])
             return
 
     def break_connection(self) -> None:
@@ -243,7 +230,7 @@ class _MuxCore:
 
     def submit(self, buffers: Tuple[bytes, ...],
                key: Tuple[int, int]) -> ReplyFuture:
-        """Register a wait slot for (nonce, seq) and queue its frame."""
+        """Register a wait slot for (nonce, seq) and send its frame."""
         slot = _Slot(key, buffers)
         with self._lock:
             if self._closed:
@@ -252,11 +239,11 @@ class _MuxCore:
             self._m_inflight.set(len(self._slots))
             if self._sock is None:
                 self._cond.notify_all()  # wake a lazily-reconnecting reader
-        self._send_queue.put((slot, time.perf_counter()))
+        self._out.push((slot, time.perf_counter()))
         return slot.future
 
     def resend(self, key: Tuple[int, int]) -> Optional[ReplyFuture]:
-        """Re-queue an in-flight request's frame (per-request timeout
+        """Send an in-flight request's frame again (per-request timeout
         recovery).  The socket is *not* dropped: the original reply, if
         it ever lands, is matched by sequence number — the duplicate's
         is absorbed as an orphan.  Returns the slot's (fresh, if the old
@@ -272,7 +259,7 @@ class _MuxCore:
                 # the caller can wait for the re-sent copy
                 slot.future = ReplyFuture()
             self._cond.notify_all()
-        self._send_queue.put((slot, time.perf_counter()))
+        self._out.push((slot, time.perf_counter()))
         return slot.future
 
     def cancel(self, key: Tuple[int, int]) -> None:
@@ -284,7 +271,7 @@ class _MuxCore:
                 slot.dead = True
             self._m_inflight.set(len(self._slots))
 
-    # -- threads --------------------------------------------------------------
+    # -- the reader thread and the send section --------------------------------
 
     def _read_loop(self) -> None:
         while not self._closed:
@@ -320,57 +307,32 @@ class _MuxCore:
                 continue
             slot.future.resolve(message)
 
-    def _write_loop(self) -> None:
-        while True:
-            item = self._send_queue.get()
-            if item is None:
-                return
-            batch = [item]
-            while len(batch) < _MAX_SEND_BATCH:
-                try:
-                    nxt = self._send_queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is None:
-                    return
-                batch.append(nxt)
-            with self._lock:
-                while self._sock is None and not self._closed:
-                    self._cond.wait(timeout=0.2)
-                if self._closed:
-                    return
-                sock = self._sock
-            now = time.perf_counter()
-            buffers: List[bytes] = []
-            live = []
-            for slot, enqueued in batch:
-                if slot.dead or slot.future.done():
-                    continue  # gave up, or already answered/failed
-                self._m_queue_wait.observe(now - enqueued)
-                buffers.extend(slot.buffers)
-                live.append(slot)
-            if not live:
-                continue
-            self._m_batch.observe(len(live))
-            try:
-                _sendmsg_all(sock, buffers)
-            except OSError as error:
-                if self._invalidate(sock, error):
-                    # the batch never (fully) left: leave the slots
-                    # pending — reconnect re-sends the sent window and
-                    # re-queueing covers the rest
-                    for slot, enqueued in batch:
-                        if not slot.dead and not slot.sent:
-                            self._send_queue.put((slot, enqueued))
-                else:
-                    # another thread already swapped the socket in; our
-                    # batch missed the reconnect re-send, so re-queue it
-                    for slot, enqueued in batch:
-                        if not slot.dead:
-                            self._send_queue.put((slot, enqueued))
-                continue
-            for slot in live:
-                slot.sent = True
+    def _send_frames(self, batch: list) -> Optional[list]:
+        """The send section's socket call: one gathered ``sendmsg``.
+        Returns what must stay queued because the socket is down."""
+        live = [item for item in batch
+                if not item[0].dead and not item[0].future.done()]
+        sock = self._sock
+        if sock is None:
+            return live  # the reader sends them once it has reconnected
+        if not live:
+            return None  # gave up, or already answered/failed
+        now = time.perf_counter()
+        buffers: List[bytes] = []
+        for slot, queued in live:
+            self._m_queue_wait.observe(now - queued)
+            buffers.extend(slot.buffers)
+        self._m_batch.observe(len(live))
+        try:
+            _sendmsg_all(sock, buffers)
+        except OSError as error:
+            self._invalidate(sock, error)
+            # the batch never (fully) left: slots that reached the wire
+            # before are in the reconnect's window, the rest stay queued
+            return [item for item in live if not item[0].sent]
+        for slot, _queued in live:
+            slot.sent = True
+        return None
 
     # -- channel registry -----------------------------------------------------
 
@@ -405,7 +367,6 @@ class _MuxCore:
             self._closed = True
             self._cond.notify_all()
         self._close_event.set()
-        self._send_queue.put(None)
         self._fail_pending(TransportError("channel is closed"))
         with self._lock:
             sock, self._sock = self._sock, None
@@ -414,9 +375,8 @@ class _MuxCore:
                 sock.close()
             except OSError:
                 pass
-        for thread in (self._reader, self._writer):
-            if thread is not threading.current_thread():
-                thread.join(timeout=1.0)
+        if self._reader is not threading.current_thread():
+            self._reader.join(timeout=1.0)
 
 
 class MultiplexingChannel(Channel):

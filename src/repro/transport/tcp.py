@@ -13,12 +13,13 @@ replies may return out of order (see ``MultiplexingChannel`` in
 ``repro.transport.mux``).  The reserved pair ``(0, 0)`` marks a reply to
 a frame whose header could not be parsed and is therefore unattributable.
 
-The server runs one *reader* thread per connection, hands each decoded
-frame to a shared dispatch pool, and funnels replies through a
-per-connection *writer* thread, so a slow dispatch never blocks faster
-replies on the same socket.  The writer coalesces replies that queue up
-while a previous send is on the wire into a single ``sendmsg`` — small
-frames batch naturally under load while a lone reply still goes out
+The server gives each connection two threads that take turns holding
+its *read role*: the thread that read a frame dispatches it and sends the
+reply on its own stack while its sibling reads on, and frames arriving
+meanwhile go to a shared dispatch pool, so a slow dispatch never blocks
+faster replies on the same socket.  Whichever thread finished a dispatch
+sends the reply (:class:`_SendCombiner`): replies that pile up behind a
+send leave in a single ``sendmsg`` while a lone reply still goes out
 immediately (``TCP_NODELAY`` stays set).  Push notifications are not
 supported over this transport (``can_push = False``); clients fall back
 to polling, exactly the degraded mode the paper's adaptive protocol
@@ -46,7 +47,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import (
     RetryExhausted,
@@ -66,8 +67,8 @@ _SEQ = struct.Struct(">Q")
 _MAX_FRAME = 1 << 30
 #: a reply payload leads with the echoed (nonce, seq) pair
 _REPLY_HEADER = 2 * _SEQ.size
-#: cap on reply frames coalesced into one sendmsg (keeps the iovec and
-#: the latency of any single batch bounded; well under IOV_MAX)
+#: cap on frames coalesced into one sendmsg (keeps the iovec and the
+#: latency of any single batch bounded; well under IOV_MAX)
 _MAX_REPLY_BATCH = 32
 
 _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
@@ -93,6 +94,53 @@ def _sendmsg_all(sock: socket.socket, buffers: Iterable[bytes]) -> None:
             views.pop(0)
         if sent:
             views[0] = views[0][sent:]
+
+
+class _SendCombiner:
+    """Many threads, one socket, no writer thread: a send-combining section.
+
+    :meth:`push` appends under the lock; a thread that finds nobody
+    sending becomes the sender and hands ``flush`` ``_MAX_REPLY_BATCH``
+    items at a time, outside the lock, until the list is empty; any
+    other thread returns at once and the sender takes its items along:
+    a lone frame leaves on the thread that produced it, a backlog
+    coalesces.  Items ``flush`` returns (socket down) go back to the
+    front and the sender stops; a bare ``push()`` resumes.
+    """
+
+    def __init__(self, flush: Callable[[list], Optional[list]]):
+        self._flush = flush
+        self._lock = threading.Lock()
+        self._pending: list = []
+        self._sending = False
+        #: a push arrived since the sender took its batch: a sender about
+        #: to stop on a dead socket looks again (the socket may be back)
+        self._pushed = False
+
+    def push(self, *items) -> None:
+        with self._lock:
+            self._pending.extend(items)
+            self._pushed = True
+            if self._sending:
+                return
+            self._sending = True
+        kept = None
+        while True:
+            with self._lock:
+                if kept:
+                    self._pending[:0] = kept
+                if not self._pending or (kept and not self._pushed):
+                    # under the lock: no push that saw a sender is left behind
+                    self._sending = False
+                    return
+                batch = self._pending[:_MAX_REPLY_BATCH]
+                del self._pending[:_MAX_REPLY_BATCH]
+                self._pushed = False
+            try:
+                kept = self._flush(batch)
+            except BaseException:
+                self._sending = False  # a flush bug must not wedge the section
+                raise
 
 
 def _recv_exact(sock: socket.socket, size: int) -> Optional[bytes]:
@@ -375,10 +423,10 @@ class RequestFrameCore:
             "dispatcher exceptions answered with ErrorReply")
         self._m_reply_batch = metrics.histogram(
             "transport.server.reply_batch_frames",
-            help="reply frames coalesced into each sendmsg batch")
+            help="reply frames per sendmsg")
         self._m_reply_queue_wait = metrics.histogram(
             "transport.server.reply_queue_wait_seconds",
-            help="time replies spent queued behind the per-connection writer")
+            help="time finished replies waited for their turn on the socket")
 
     def _handle_frame(self, frame: bytes) -> Tuple[int, int, bytes]:
         """Decode one request frame, dispatch it, return (nonce, seq, reply).
@@ -459,16 +507,36 @@ class _DispatchPool:
             self._queue.put(None)
 
 
+class _Link:
+    """One accepted connection: the socket and what its two threads share."""
+
+    def __init__(self, sock: socket.socket, max_inflight: int, flush):
+        self.sock = sock
+        #: held around ``_recv_frame`` only, never across a dispatch
+        self.read_role = threading.Lock()
+        self.out = _SendCombiner(flush)
+        # bounds dispatches in flight for this connection: a client that
+        # floods frames faster than the dispatcher drains them stalls in
+        # the kernel send buffer instead of growing the pool's queue
+        self.inflight = threading.BoundedSemaphore(max_inflight)
+        #: a connection thread is dispatching on its own stack
+        self.inline = False
+        #: end of stream or lost framing: nothing more is read
+        self.closed = False
+
+
 class TCPServerTransport(RequestFrameCore):
     """Accepts connections and feeds requests to a :class:`Dispatcher`.
 
-    One *reader* thread per connection decodes frames and submits them
-    to a shared dispatch pool, so requests from one connection — a
-    pipelined client has many in flight — dispatch concurrently, relying
-    on the Dispatcher thread-safety contract.  Replies funnel through a
-    per-connection *writer* thread: a slow dispatch never blocks faster
-    replies on the same socket, and replies that queue up while a send
-    is on the wire coalesce into one ``sendmsg`` batch.  Retried
+    A connection's two threads take turns holding its *read role*: the
+    thread that read a frame passes the role on and dispatches and sends
+    on its own stack (a serial client is served with no hand-off), and
+    frames read meanwhile go to a shared dispatch pool, so requests from
+    one connection — a pipelined client has many in flight — dispatch
+    concurrently, relying on the Dispatcher thread-safety contract, and
+    a slow dispatch never blocks faster replies on the same socket.
+    Replies leave through the connection's :class:`_SendCombiner`: those
+    that pile up behind a send coalesce into one ``sendmsg``.  Retried
     sequence numbers stay idempotent through the :class:`ReplyCache`,
     which also makes a duplicate racing its original dispatch wait and
     share the reply instead of re-dispatching.
@@ -515,10 +583,15 @@ class TCPServerTransport(RequestFrameCore):
                     return
                 self._conns.add(conn)
                 self._m_open.set(len(self._conns))
-            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            with self._conn_lock:
-                self._threads.append(thread)
-            thread.start()
+            self._spawn(f"repro-conn-{conn.fileno()}a", self._serve, conn)
+
+    def _spawn(self, name: str, target, *args) -> threading.Thread:
+        thread = threading.Thread(target=target, args=args, name=name,
+                                  daemon=True)
+        with self._conn_lock:
+            self._threads.append(thread)
+        thread.start()
+        return thread
 
     def _serve(self, conn: socket.socket) -> None:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -527,101 +600,91 @@ class TCPServerTransport(RequestFrameCore):
         # rebinding the port while old clients are still attached
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._m_connections.inc()
-        out_queue: "queue.Queue" = queue.Queue()
-        writer = threading.Thread(
-            target=self._write_loop, args=(conn, out_queue), daemon=True)
-        writer.start()
-        # bounds dispatches in flight for this connection: a client that
-        # floods frames faster than the dispatcher drains them stalls in
-        # the kernel send buffer instead of growing the queue unboundedly
-        inflight = threading.BoundedSemaphore(self._max_inflight)
+        link = _Link(conn, self._max_inflight,
+                     lambda batch: self._send_replies(conn, batch))
+        sibling = self._spawn(f"repro-conn-{conn.fileno()}b",
+                              self._take_turns, link)
         try:
-            while self._running:
-                try:
-                    frame = _recv_frame(conn)
-                except TransportError:
-                    return  # oversized frame: framing is lost, drop the link
-                if frame is None:
-                    return
-                while not inflight.acquire(timeout=0.1):
-                    if not self._running:
-                        return
-                self._pool.submit(
-                    lambda f=frame: self._dispatch_to_queue(f, out_queue, inflight))
-        except OSError:
-            return
+            self._take_turns(link)
+            sibling.join()  # it may still be answering its last frame
         finally:
-            # replies still in flight when the reader exits are for a
-            # client that is gone (or a transport shutting down): the
-            # sentinel lets the writer drain what is already queued,
-            # then closing the socket unblocks it if the peer stalled
-            out_queue.put(None)
-            writer.join(timeout=5.0)
             with self._conn_lock:
                 self._conns.discard(conn)
                 self._m_open.set(len(self._conns))
-                # reap this connection's thread record as the connection
-                # closes: a burst-then-idle workload must not pin the
-                # peak thread-object list until the next accept
-                try:
-                    self._threads.remove(threading.current_thread())
-                except ValueError:
-                    pass  # already reaped by close()
+                # reap this connection's thread records as it closes: a
+                # burst-then-idle workload must not pin the peak
+                # thread-object list until the next accept
+                mine = (sibling, threading.current_thread())
+                self._threads = [t for t in self._threads if t not in mine]
+            # a reply still in a pool worker's hands is for a client that
+            # is gone (or a transport shutting down): its send just fails
             try:
                 conn.close()
             except OSError:
                 pass
 
-    def _dispatch_to_queue(self, frame: bytes, out_queue: "queue.Queue",
-                           inflight: threading.BoundedSemaphore) -> None:
-        """Pool task: dispatch one frame and queue its reply."""
+    def _take_turns(self, link: _Link) -> None:
+        """Both connection threads: read until a frame is this thread's
+        to answer, pass the read role on, answer it, repeat."""
+        while True:
+            with link.read_role:
+                frame = self._read_own_frame(link)
+            if frame is None:
+                return
+            self._answer(link, frame, inline=True)
+
+    def _read_own_frame(self, link: _Link) -> Optional[bytes]:
+        """Holding the read role: the next frame to dispatch on the caller's
+        stack (frames read while its sibling does so are pooled), or None."""
+        try:
+            while self._running and not link.closed:
+                frame = _recv_frame(link.sock)
+                if frame is None:
+                    break
+                while not link.inflight.acquire(timeout=0.1):
+                    if not self._running:
+                        return None
+                if not link.inline:
+                    link.inline = True
+                    return frame
+                self._pool.submit(lambda f=frame: self._answer(link, f))
+        except TransportError:
+            self._m_frame_errors.inc()  # oversized frame: framing is lost
+        except OSError:
+            pass
+        link.closed = True
+        return None
+
+    def _answer(self, link: _Link, frame: bytes, inline: bool = False) -> None:
+        """Dispatch one frame and send its reply, on the calling thread."""
         try:
             nonce, seq, reply = self._handle_frame(frame)
-            out_queue.put((nonce, seq, reply, time.perf_counter()))
         finally:
-            inflight.release()
+            # ahead of the send: a serial client's next frame follows its
+            # reply at once, and must find the connection free for it
+            if inline:
+                link.inline = False
+            link.inflight.release()
+        link.out.push((nonce, seq, reply, time.perf_counter()))
 
-    def _write_loop(self, conn: socket.socket, out_queue: "queue.Queue") -> None:
-        """Per-connection writer: drain replies, batching opportunistically.
-
-        Blocks for the first reply, then drains whatever else queued up
-        (bounded by ``_MAX_REPLY_BATCH``) into one gathered ``sendmsg``.
-        The "flush window" is thus the duration of the previous send: a
-        lone reply goes out immediately with no added latency, while a
-        backlog amortizes syscalls and wakeups.  Exits on the ``None``
-        sentinel (after flushing replies queued ahead of it) or on a
-        dead socket.
-        """
-        while True:
-            item = out_queue.get()
-            if item is None:
-                return
-            batch = [item]
-            finished = False
-            while len(batch) < _MAX_REPLY_BATCH:
-                try:
-                    nxt = out_queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is None:
-                    finished = True
-                    break
-                batch.append(nxt)
-            now = time.perf_counter()
-            buffers = []
-            for nonce, seq, reply, enqueued in batch:
-                self._m_reply_queue_wait.observe(now - enqueued)
-                buffers.append(_LEN.pack(_REPLY_HEADER + len(reply)))
-                buffers.append(_SEQ.pack(nonce))
-                buffers.append(_SEQ.pack(seq))
-                buffers.append(reply)
-            self._m_reply_batch.observe(len(batch))
+    def _send_replies(self, conn: socket.socket, batch: list) -> None:
+        """The send section's socket call: one gathered ``sendmsg``."""
+        now = time.perf_counter()
+        buffers = []
+        for nonce, seq, reply, finished in batch:
+            self._m_reply_queue_wait.observe(now - finished)
+            buffers.append(_LEN.pack(_REPLY_HEADER + len(reply)))
+            buffers.append(_SEQ.pack(nonce))
+            buffers.append(_SEQ.pack(seq))
+            buffers.append(reply)
+        self._m_reply_batch.observe(len(batch))
+        try:
+            _sendmsg_all(conn, buffers)
+        except OSError:
             try:
-                _sendmsg_all(conn, buffers)
+                conn.shutdown(socket.SHUT_RDWR)  # the reader ends the link
             except OSError:
-                return
-            if finished:
-                return
+                pass
 
     def close(self) -> None:
         self._running = False

@@ -700,3 +700,192 @@ class TestChainedReplication:
                 == b1.segments["primary/data"].state.read_block_wire(1))
         sender2.close()
         sender1.close()
+
+
+class CrashingWAL:
+    """A real :class:`WriteAheadLog` whose ``append`` raises once armed —
+    a primary dying between handing the replicator a record and making
+    it durable itself (the record reaches the backup, never the disk,
+    and the client never sees an ack)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.armed = False
+
+    def append(self, *args, **kwargs):
+        if self.armed:
+            raise RuntimeError("crash")
+        return self.inner.append(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestReplicateThenLog:
+    """The release hands the record to the replicator before its own WAL
+    append; what that order could break is closed by the duplicate rule."""
+
+    def test_other_bytes_for_an_applied_version_are_nacked(self):
+        clock = VirtualClock()
+        hub, primary, backup, sender = build_pair(clock)
+        client = InterWeaveClient("w", X86_32, hub.connect, clock=clock)
+        seg = client.open_segment("primary/data")
+        client.wl_acquire(seg)
+        array = client.malloc(seg, ArrayDescriptor(INT, 8), name="a")
+        array.write_values(list(range(8)))
+        client.wl_release(seg)
+        write_round(client, seg, array, 100)
+        assert sender.flush()
+        p_state = primary.segments["primary/data"].state
+        b_state = backup.segments["primary/data"].state
+        assert b_state.version == 2
+        # (one so far: a catchup is how a replica first gets a segment)
+        catchups = backup._m_replica_catchups.value
+        from_v, to_v, encoded = primary.diff_cache.entries_for(
+            "primary/data")[-1]
+        assert (from_v, to_v) == (1, 2)
+        tallies = (backup.diff_cache.hits, backup.diff_cache.misses)
+        appends = backup._m_replica_appends.value
+
+        def redeliver(payload):
+            return decode_message(backup.dispatch("!repl", encode_message(
+                ReplicateAppendRequest(kind=REPL_DIFF, segment="primary/data",
+                                       from_version=from_v, to_version=to_v,
+                                       payload=payload))))
+
+        # the record that was applied: acked, nothing re-applied
+        again = redeliver(encoded)
+        assert again.ok and again.version == 2
+        assert backup.segments["primary/data"].state is b_state
+        assert backup._m_replica_appends.value == appends
+        # the same version with other bytes: not provably ours
+        other = encoded[:-1] + bytes([encoded[-1] ^ 1])
+        refused = redeliver(other)
+        assert not refused.ok and refused.version == 2
+        # neither lookup touched the tallies the ledger reads
+        assert (backup.diff_cache.hits, backup.diff_cache.misses) == tallies
+        # through the sender, the nack becomes a catchup from the primary
+        sender.append_diff("primary/data", from_v, to_v, other, 0.0)
+        assert sender.flush()
+        assert backup._m_replica_catchups.value == catchups + 1
+        healed = backup.segments["primary/data"].state
+        assert healed.version == p_state.version == 2
+        assert healed.read_block_wire(1) == p_state.read_block_wire(1)
+        sender.close()
+
+    def test_crash_after_send_before_fsync_heals_on_the_next_write(
+            self, tmp_path):
+        clock = VirtualClock()
+        hub = InProcHub(clock=clock)
+        backup = InterWeaveServer("backup", clock=clock, role="backup",
+                                  metrics=MetricsRegistry())
+        primary = InterWeaveServer("primary", sink=hub, clock=clock,
+                                   wal_dir=str(tmp_path), quorum_ack=True,
+                                   metrics=MetricsRegistry())
+        switch = FailableDispatcher(primary)  # its server is swapped below
+        hub.register_server("primary", switch)
+        hub.register_server("backup", backup)
+        sender = ReplicationSender(primary, hub.connect("backup", "!repl"),
+                                   metrics=MetricsRegistry())
+        primary.attach_replicator(sender)
+        client = InterWeaveClient("w", X86_32, hub.connect, clock=clock)
+        seg = client.open_segment("primary/data")
+        client.wl_acquire(seg)
+        kept = client.malloc(seg, ArrayDescriptor(INT, 8), name="kept")
+        kept.write_values(list(range(8)))
+        array = client.malloc(seg, ArrayDescriptor(INT, 8), name="a")
+        array.write_values([100 + i for i in range(8)])
+        client.wl_release(seg)
+        write_round(client, seg, array, 200)  # acknowledged: version 2
+
+        primary.wal = CrashingWAL(primary.wal)
+        primary.wal.armed = True
+        client.wl_acquire(seg)
+        array.write_values([900 + i for i in range(8)])
+        with pytest.raises(ServerError, match="crash"):
+            client.wl_release(seg)  # version 3 is never acknowledged
+        assert sender.flush()
+        assert backup.segments["primary/data"].state.version == 3
+        catchups = backup._m_replica_catchups.value
+        sender.close()
+        primary.close()
+
+        # the primary restarts from its disk: one version behind its backup
+        restarted = InterWeaveServer("primary", sink=hub, clock=clock,
+                                     wal_dir=str(tmp_path), quorum_ack=True,
+                                     metrics=MetricsRegistry())
+        restarted.recover_segments()
+        assert restarted.segments["primary/data"].state.version == 2
+        switch.inner = restarted
+        sender2 = ReplicationSender(restarted, hub.connect("backup", "!repl2"),
+                                    metrics=MetricsRegistry())
+        restarted.attach_replicator(sender2)
+        writer = InterWeaveClient("w2", X86_32, hub.connect, clock=clock)
+        seg2 = writer.open_segment("primary/data", create=False)
+        writer.wl_acquire(seg2)
+        writer.accessor_for(seg2, "a").write_values(
+            [500 + i for i in range(8)])
+        writer.wl_release(seg2)  # a second version 3, other bytes
+
+        # the backup refused to call it a duplicate and was reinstalled,
+        # inside the quorum wait: the ack still means "the backup has it"
+        assert backup._m_replica_catchups.value == catchups + 1
+        assert restarted._m_quorum_acks.value == 1
+        assert restarted._m_quorum_degrades.value == 0
+        assert sender2.flush()
+        p_state = restarted.segments["primary/data"].state
+        b_state = backup.segments["primary/data"].state
+        assert b_state.version == p_state.version == 3
+        for serial in (1, 2):
+            assert (b_state.read_block_wire(serial)
+                    == p_state.read_block_wire(serial))
+        # nothing acknowledged was lost on the way
+        assert list(writer.accessor_for(seg2, "kept").read_values()) \
+            == list(range(8))
+        assert list(writer.accessor_for(seg2, "a").read_values()) \
+            == [500 + i for i in range(8)]
+        sender2.close()
+        restarted.close()
+
+    def test_chain_keeps_version_order_under_interleaved_writes(self):
+        clock = VirtualClock()
+        hub, primary, b1, b2, sender1, sender2 = \
+            TestChainedReplication().build_chain(clock)
+        names = ("primary/left", "primary/right")
+        errors = []
+
+        def writer(index):
+            try:
+                client = InterWeaveClient(f"w{index}", X86_32, hub.connect,
+                                          clock=clock)
+                seg = client.open_segment(names[index])
+                client.wl_acquire(seg)
+                array = client.malloc(seg, ArrayDescriptor(INT, 8), name="a")
+                array.write_values(list(range(8)))
+                client.wl_release(seg)
+                for round_ in range(99):
+                    write_round(client, seg, array, 1000 * index + round_ + 1)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        assert errors == []
+        assert sender1.flush() and sender2.flush()
+        for name in names:
+            p = primary.segments[name].state
+            assert p.version == 100
+            for replica in (b1, b2):
+                state = replica.segments[name].state
+                assert state.version == 100
+                assert state.read_block_wire(1) == p.read_block_wire(1)
+        # one catchup each creates a segment the replica has never seen;
+        # a record out of order would have cost another
+        assert b1._m_replica_catchups.value == 2
+        assert b2._m_replica_catchups.value <= 4
+        sender2.close()
+        sender1.close()

@@ -14,10 +14,14 @@ from repro.transport import (
     AsyncTCPServerTransport,
     Dispatcher,
     InProcHub,
+    MultiplexingChannel,
     NetworkModel,
+    ReplyCache,
+    RetryPolicy,
     TCPChannel,
     TCPServerTransport,
 )
+from repro.transport import tcp as tcp_module
 from repro.util.clock import VirtualClock
 from repro.wire.messages import ErrorReply, decode_message
 
@@ -220,6 +224,15 @@ _LEN = struct.Struct(">I")
 _SEQ = struct.Struct(">Q")
 
 
+def _read_reply(sock):
+    """Read one reply frame: ``(nonce, seq, message)``."""
+    (length,) = _LEN.unpack(sock.recv(4, socket.MSG_WAITALL))
+    reply = sock.recv(length, socket.MSG_WAITALL)
+    assert len(reply) >= 16
+    return (_SEQ.unpack_from(reply, 0)[0], _SEQ.unpack_from(reply, 8)[0],
+            reply[16:])
+
+
 def _raw_exchange(sock, frame, expect=None):
     """Send one pre-built frame and read back the reply message.
 
@@ -228,13 +241,10 @@ def _raw_exchange(sock, frame, expect=None):
     frame whose header could not be parsed.
     """
     sock.sendall(_LEN.pack(len(frame)) + frame)
-    (length,) = _LEN.unpack(sock.recv(4, socket.MSG_WAITALL))
-    reply = sock.recv(length, socket.MSG_WAITALL)
-    assert len(reply) >= 16
+    nonce, seq, message = _read_reply(sock)
     if expect is not None:
-        assert (_SEQ.unpack_from(reply, 0)[0],
-                _SEQ.unpack_from(reply, 8)[0]) == expect
-    return reply[16:]
+        assert (nonce, seq) == expect
+    return message
 
 
 class TestTCPFaultPaths:
@@ -396,3 +406,278 @@ class TestTCPFaultPaths:
         finally:
             channel.close()
             second.close()
+
+
+# ---------------------------------------------------------------------------
+# run to completion: who dispatches, who sends, and what is left behind
+# ---------------------------------------------------------------------------
+
+class ThreadRecorder(Dispatcher):
+    """Echo that records which thread ran each dispatch; payloads
+    starting with ``slow`` are held until ``release`` is set."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.threads = {}
+        self.counts = {}
+        self.release = threading.Event()
+        self.entered = threading.Event()
+
+    def dispatch(self, client_id, data):
+        data = bytes(data)
+        with self.lock:
+            self.threads[data] = threading.current_thread().name
+            self.counts[data] = self.counts.get(data, 0) + 1
+        if data.startswith(b"slow"):
+            self.entered.set()
+            assert self.release.wait(timeout=10.0)
+        return b"echo:" + data
+
+
+def _frame(seq, payload, nonce=7, client=b"raw"):
+    body = (_LEN.pack(len(client)) + client + _SEQ.pack(nonce)
+            + _SEQ.pack(seq) + payload)
+    return _LEN.pack(len(body)) + body
+
+
+def _wait_for(predicate, what, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def _threads_named(prefix):
+    return [t for t in threading.enumerate() if t.name.startswith(prefix)]
+
+
+class TestRunToCompletion:
+    """The threaded core's request path: the thread that read a frame
+    answers it, a busy connection falls back to the pool, replies still
+    coalesce, and no failure leaves a thread (or a wedged worker) behind."""
+
+    def test_serial_client_never_leaves_its_connection_threads(self):
+        dispatcher = ThreadRecorder()
+        transport = TCPServerTransport(dispatcher)
+        channel = TCPChannel("127.0.0.1", transport.port, "serial")
+        try:
+            for i in range(200):
+                assert channel.request(b"r%d" % i) == b"echo:r%d" % i
+        finally:
+            channel.close()
+            transport.close()
+        names = set(dispatcher.threads.values())
+        assert len(dispatcher.threads) == 200
+        assert all(name.startswith("repro-conn-") for name in names), names
+        # the two threads of the one connection, nothing else
+        assert len(names) <= 2
+
+    def test_frames_behind_a_slow_dispatch_go_to_the_pool(self):
+        dispatcher = ThreadRecorder()
+        transport = TCPServerTransport(dispatcher)
+        channel = MultiplexingChannel("127.0.0.1", transport.port,
+                                      client_id="m", timeout=5.0)
+        try:
+            slow = channel.submit(b"slow:a")
+            assert dispatcher.entered.wait(timeout=5.0)
+            second = channel.submit(b"b")
+            third = channel.submit(b"c")
+            assert second.result(timeout=5.0) == b"echo:b"
+            assert third.result(timeout=5.0) == b"echo:c"
+            assert not slow.done()
+            dispatcher.release.set()
+            assert slow.result(timeout=5.0) == b"echo:slow:a"
+        finally:
+            dispatcher.release.set()
+            channel.close()
+            transport.close()
+        assert dispatcher.threads[b"slow:a"].startswith("repro-conn-")
+        assert dispatcher.threads[b"b"].startswith("repro-dispatch-")
+        assert dispatcher.threads[b"c"].startswith("repro-dispatch-")
+
+    def test_max_inflight_still_bounds_frames_read(self):
+        dispatcher = ThreadRecorder()
+        transport = TCPServerTransport(dispatcher, max_inflight=3)
+        sock = socket.create_connection(("127.0.0.1", transport.port),
+                                        timeout=5.0)
+        try:
+            sock.sendall(b"".join(_frame(i + 1, b"slow:%d" % i)
+                                  for i in range(6)))
+            _wait_for(lambda: len(dispatcher.counts) == 3, "three dispatches")
+            time.sleep(0.1)  # a fourth permit would show up by now
+            assert len(dispatcher.counts) == 3
+            dispatcher.release.set()
+            replies = dict(_read_reply(sock)[1:] for _ in range(6))
+            assert replies == {i + 1: b"echo:slow:%d" % i for i in range(6)}
+        finally:
+            dispatcher.release.set()
+            sock.close()
+            transport.close()
+
+    def test_replies_still_coalesce_under_a_backlog(self, monkeypatch):
+        arrived = threading.Barrier(8)
+
+        class Together(Dispatcher):
+            def dispatch(self, client_id, data):
+                arrived.wait(timeout=5.0)
+                return b"echo:" + data
+
+        real_send = tcp_module._sendmsg_all
+
+        def slow_send(sock, buffers):
+            time.sleep(0.02)  # a send "on the wire": the rest pile up
+            real_send(sock, buffers)
+
+        transport = TCPServerTransport(Together(), dispatch_workers=8)
+        channel = MultiplexingChannel("127.0.0.1", transport.port,
+                                      client_id="m", timeout=5.0)
+        batches = transport._m_reply_batch
+        count, total = batches.count, batches.sum
+        errors = []
+
+        def worker(index):
+            try:
+                payload = b"t%d" % index
+                assert channel.request(payload) == b"echo:" + payload
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        monkeypatch.setattr(tcp_module, "_sendmsg_all", slow_send)
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+        finally:
+            channel.close()
+            transport.close()
+        assert errors == []
+        sends = batches.count - count
+        assert batches.sum - total == 8
+        assert sends < 8, "eight simultaneous replies took eight sendmsg calls"
+
+    def test_open_close_soak_returns_to_thread_baseline(self):
+        transport = TCPServerTransport(EchoServer())
+        try:
+            baseline = threading.active_count()
+            for i in range(200):
+                channel = TCPChannel("127.0.0.1", transport.port, f"c{i}")
+                assert channel.request(b"x") == b"echo:x"
+                channel.close()
+            _wait_for(lambda: threading.active_count() <= baseline,
+                      "connection threads to exit")
+            assert transport._threads == []
+            assert transport._conns == set()
+        finally:
+            transport.close()
+
+    def test_failures_cost_one_connection_and_no_thread(self, monkeypatch):
+        dispatcher = ThreadRecorder()
+        transport = TCPServerTransport(dispatcher, dispatch_workers=2)
+        real_send = tcp_module._sendmsg_all
+
+        def poisoned_send(sock, buffers):
+            if any(b"poison" in bytes(b) for b in buffers):
+                raise OSError("injected send failure")
+            real_send(sock, buffers)
+
+        monkeypatch.setattr(tcp_module, "_sendmsg_all", poisoned_send)
+        bystander = TCPChannel("127.0.0.1", transport.port, "bystander")
+        try:
+            assert bystander.request(b"before") == b"echo:before"
+            baseline = threading.active_count()
+            # a peer that disconnects while its request is dispatching
+            gone = socket.create_connection(("127.0.0.1", transport.port))
+            gone.sendall(_frame(1, b"slow:gone"))
+            assert dispatcher.entered.wait(timeout=5.0)
+            gone.close()
+            # a reply whose sendmsg raises, on a pool worker: the inline
+            # slot of this connection is taken by the held-open request
+            bad = socket.create_connection(("127.0.0.1", transport.port),
+                                           timeout=5.0)
+            bad.sendall(_frame(1, b"slow:bad") + _frame(2, b"poison"))
+            _wait_for(lambda: b"poison" in dispatcher.threads, "the poison")
+            assert dispatcher.threads[b"poison"].startswith("repro-dispatch-")
+            # the failed send drops that link: its peer sees end of stream
+            assert bad.recv(4) == b""
+            bad.close()
+            dispatcher.release.set()
+            _wait_for(lambda: threading.active_count() <= baseline,
+                      "the dead connections' threads to exit")
+            # nobody else noticed, and both pool workers still serve
+            assert bystander.request(b"after") == b"echo:after"
+            assert len(_threads_named("repro-dispatch-")) >= 2
+            assert all(t.is_alive() for t in _threads_named("repro-dispatch-"))
+        finally:
+            dispatcher.release.set()
+            bystander.close()
+            transport.close()
+
+    def test_oversized_frame_is_counted(self):
+        transport = TCPServerTransport(EchoServer())
+        before = transport._m_frame_errors.value
+        sock = socket.create_connection(("127.0.0.1", transport.port),
+                                        timeout=5.0)
+        try:
+            sock.sendall(_LEN.pack((1 << 30) + 1))
+            assert sock.recv(4) == b""  # framing is lost: link dropped
+            assert transport._m_frame_errors.value == before + 1
+        finally:
+            sock.close()
+            transport.close()
+
+    def test_mux_core_is_one_thread_and_sends_once_after_reconnect(self):
+        dispatcher = ThreadRecorder()
+        cache = ReplyCache()
+        transport = TCPServerTransport(dispatcher, reply_cache=cache)
+        port = transport.port
+        before = len(_threads_named("repro-mux-"))
+        channel = MultiplexingChannel(
+            "127.0.0.1", port, client_id="m", timeout=5.0,
+            retry=RetryPolicy(max_attempts=50, base_delay=0.02,
+                              max_delay=0.05, jitter=0.0))
+        try:
+            assert len(_threads_named("repro-mux-")) == before + 1
+            assert channel.request(b"up") == b"echo:up"
+            transport.close()  # the reader sees end of stream
+            _wait_for(lambda: not channel.health()["connected"], "the break")
+            futures = [channel.submit(b"down%d" % i) for i in range(3)]
+            time.sleep(0.1)  # a few failed reconnects with frames queued
+            assert not any(future.done() for future in futures)
+            hits = cache._m_hits.value
+            transport = TCPServerTransport(dispatcher, port=port,
+                                           reply_cache=cache)
+            for i, future in enumerate(futures):
+                assert future.result(timeout=5.0) == b"echo:down%d" % i
+            assert [dispatcher.counts[b"down%d" % i] for i in range(3)] \
+                == [1, 1, 1]
+            assert cache._m_hits.value == hits, "a queued frame went out twice"
+            assert channel.health()["orphan_replies"] == 0
+        finally:
+            channel.close()
+            transport.close()
+
+    def test_submit_from_a_reconnect_listener_does_not_deadlock(self):
+        cache = ReplyCache()
+        transport = TCPServerTransport(EchoServer(), reply_cache=cache)
+        port = transport.port
+        channel = MultiplexingChannel(
+            "127.0.0.1", port, client_id="m", timeout=5.0,
+            retry=RetryPolicy(max_attempts=50, base_delay=0.02,
+                              max_delay=0.05, jitter=0.0))
+        submitted = []
+        channel.reconnect_listener = lambda: submitted.append(
+            channel.submit(b"from-listener"))
+        try:
+            assert channel.request(b"a") == b"echo:a"
+            transport.close()  # the reader sees end of stream and heals
+            transport = TCPServerTransport(EchoServer(), port=port,
+                                           reply_cache=cache)
+            _wait_for(lambda: submitted, "the reconnect listener")
+            assert submitted[0].result(timeout=5.0) == b"echo:from-listener"
+            assert channel.request(b"b") == b"echo:b"
+        finally:
+            channel.close()
+            transport.close()
