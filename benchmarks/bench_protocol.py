@@ -18,10 +18,11 @@ of measurements live here:
 
 **Pipelining comparison** (plain pytest + standalone ``main``): the same
 read-validate workload driven by ``THREADS`` client threads sharing ONE
-TCP connection, serial channel vs :class:`MultiplexingChannel`, over a
-simulated wide-area link.  The serial channel admits one request per
-round trip; the multiplexed channel keeps a window in flight, so link
-latency is paid once per *window* rather than once per request.  The
+:class:`TCPChannel`, serial vs pipelined, over a simulated wide-area
+link.  The serial side is serial by construction — one lock around each
+request, so one request per round trip; the pipelined side lets every
+thread keep its request in flight, so link latency is paid once per
+*window* rather than once per request.  The
 link is modeled by :class:`LatencyRelay` — a byte-forwarding TCP proxy
 that delivers each chunk ``LINK_DELAY`` seconds after reading it, the
 socket-level analogue of the in-process ``NetworkModel``.  (On a raw
@@ -67,6 +68,7 @@ or the pytest-benchmark micros::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -84,7 +86,7 @@ from common import LatencyRelay, make_tcp_server_transport, make_world
 from repro import ClientOptions, InterWeaveClient, InterWeaveServer, temporal
 from repro.arch import X86_32
 from repro.obs import get_registry, write_sidecar
-from repro.transport import Dispatcher, MultiplexingChannel, TCPChannel
+from repro.transport import Dispatcher, TCPChannel
 from repro.types import INT
 from repro.wire.codec import Reader, Writer
 from repro.wire.messages import (
@@ -218,8 +220,9 @@ def _encode_read_validate_pairs(port: int):
     return pairs
 
 
-def _drive(channel, pairs, duration: float) -> dict:
-    """THREADS workers share ``channel``; count completed read sections."""
+def _drive(channel, pairs, duration: float, serial: bool = False) -> dict:
+    """THREADS workers share ``channel``; count completed read sections.
+    ``serial`` holds one lock around each request: one in flight."""
     # correctness probe: one decoded round per thread's segment
     for acquire, release in pairs:
         assert isinstance(decode_message(channel.request(acquire)),
@@ -229,11 +232,14 @@ def _drive(channel, pairs, duration: float) -> dict:
 
     stop = threading.Event()
     sections = [0] * len(pairs)
+    one_at_a_time = threading.Lock() if serial else contextlib.nullcontext()
 
     def loop(k: int, acquire: bytes, release: bytes) -> None:
         while not stop.is_set():
-            channel.request(acquire)
-            channel.request(release)
+            with one_at_a_time:
+                channel.request(acquire)
+            with one_at_a_time:
+                channel.request(release)
             sections[k] += 1
 
     threads = [threading.Thread(target=loop, args=(k, acq, rel))
@@ -262,11 +268,14 @@ def run_pipelining_comparison(duration: float = DURATION) -> dict:
 
         serial_channel = TCPChannel("127.0.0.1", relay.port, "load",
                                     timeout=30.0)
-        serial = _drive(serial_channel, pairs, duration)
+        serial = _drive(serial_channel, pairs, duration, serial=True)
         serial_channel.close()
 
-        mux_channel = MultiplexingChannel("127.0.0.1", relay.port,
-                                          client_id="load", timeout=30.0)
+        mux_channel = TCPChannel("127.0.0.1", relay.port, "load",
+                                 timeout=30.0)
+        # the send-batch mean describes the pipelined run alone
+        serial_batches = get_registry().snapshot().get(
+            "histograms", {}).get("transport.mux.batch_frames")
         pipelined = _drive(mux_channel, pairs, duration)
         mux_health = mux_channel.health()
         mux_channel.close()
@@ -276,6 +285,9 @@ def run_pipelining_comparison(duration: float = DURATION) -> dict:
 
     snapshot = get_registry().snapshot()
     batch = snapshot.get("histograms", {}).get("transport.mux.batch_frames")
+    if batch and serial_batches:
+        batch = {key: batch[key] - serial_batches[key]
+                 for key in ("count", "sum")}
     if batch and batch["count"]:
         pipelined["mean_send_batch_frames"] = batch["sum"] / batch["count"]
     reply_batch = snapshot.get("histograms", {}).get(

@@ -88,7 +88,6 @@ from repro.transport import (
     FaultInjectingChannel,
     FaultPlan,
     InProcHub,
-    MultiplexingChannel,
     MuxConnectionPool,
     NetworkModel,
     ReplyCache,
@@ -130,7 +129,6 @@ __all__ = [
     "IW_wl_acquire",
     "IW_wl_release",
     "MetricsRegistry",
-    "MultiplexingChannel",
     "MuxConnectionPool",
     "NetworkModel",
     "ReplicationSender",

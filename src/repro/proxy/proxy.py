@@ -10,11 +10,11 @@ a bounded step behind the origin is still a correct reply.
 
 :class:`CachingProxy` is a :class:`~repro.transport.Dispatcher`:
 downstream, readers connect to it exactly as to a server (in-process
-hub, TCP, or multiplexed TCP — the proxy neither knows nor cares).
+hub or TCP — the proxy neither knows nor cares).
 Upstream it acts as a single client of the origin, using whatever
 connector it is given (typically a
-:class:`~repro.transport.MuxConnectionPool`, so all upstream traffic
-shares one socket).
+:class:`~repro.transport.MuxConnectionPool`, whose channels share one
+socket, read by whichever forwarding thread is waiting for a reply).
 
 What is answered locally vs forwarded (see docs/PROTOCOL.md §"Relay
 tier"):

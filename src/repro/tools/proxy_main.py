@@ -7,9 +7,9 @@ Usage::
 
 Runs a :class:`~repro.proxy.CachingProxy` behind a
 :class:`~repro.transport.TCPServerTransport`.  Downstream clients
-connect with :class:`~repro.transport.TCPChannel` (or a multiplexed
-channel) exactly as they would to a server; upstream the proxy shares
-one multiplexed connection to the origin
+connect with :class:`~repro.transport.TCPChannel` exactly as they
+would to a server; upstream the proxy shares one connection to the
+origin
 (:class:`~repro.transport.MuxConnectionPool`) across all forwarded
 traffic.  Plain TCP cannot push, so freshness comes from the
 ``--max-staleness`` window (see ``docs/PROTOCOL.md`` §"Relay tier").

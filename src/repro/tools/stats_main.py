@@ -19,7 +19,7 @@ import sys
 
 from repro.errors import TransportError
 from repro.obs.export import render_table
-from repro.transport.tcp import TCPChannel
+from repro.transport import TCPChannel
 from repro.wire.messages import (
     GetStatsReply,
     GetStatsRequest,

@@ -1,7 +1,7 @@
 """Transports: byte-accounting in-process channels and real TCP sockets,
 plus the fault-tolerance toolkit (retry policies, reply deduplication,
-and deterministic fault injection) and connection multiplexing (many
-pipelined requests sharing one socket)."""
+and deterministic fault injection).  The one TCP client channel
+pipelines: many requests, from many threads or channels, share a socket."""
 
 from repro.transport.base import (
     Channel,
@@ -16,9 +16,9 @@ from repro.transport.base import (
 from repro.transport.aio import AsyncTCPServerTransport
 from repro.transport.fault import FaultInjectingChannel, FaultPlan
 from repro.transport.inproc import InProcChannel, InProcHub
-from repro.transport.mux import MultiplexingChannel, MuxConnectionPool
+from repro.transport.mux import MuxConnectionPool, TCPChannel
 from repro.transport.retry import RetryingChannel, RetryPolicy, is_retryable
-from repro.transport.tcp import TCPChannel, TCPServerTransport
+from repro.transport.tcp import TCPServerTransport
 
 __all__ = [
     "AsyncTCPServerTransport",
@@ -28,7 +28,6 @@ __all__ = [
     "FaultPlan",
     "InProcChannel",
     "InProcHub",
-    "MultiplexingChannel",
     "MuxConnectionPool",
     "NetworkModel",
     "NotificationSink",

@@ -138,11 +138,11 @@ class Channel:
         """Start one request and return a :class:`ReplyFuture` for it.
 
         Pipelining hook: transports that can keep several requests in
-        flight on one connection (:class:`~repro.transport.mux.MultiplexingChannel`)
+        flight on one connection (:class:`~repro.transport.TCPChannel`)
         override this to return before the reply arrives.  The default
         completes synchronously via :meth:`request`, so every channel —
-        in-process, serial TCP, wrappers — accepts pipelined callers
-        with unchanged semantics (depth 1).
+        in-process, wrappers — accepts pipelined callers with unchanged
+        semantics (depth 1).
         """
         future = ReplyFuture()
         try:
@@ -245,7 +245,7 @@ class ReplyCache:
 
     - sequence numbers above the retention horizon that have not been
       seen yet are dispatched **concurrently and in any order** — a
-      multiplexed channel keeps many in flight at once, and the executor
+      TCP channel keeps many in flight at once, and the executor
       may start them out of order;
     - a retry that races its own original (the original is still
       dispatching) waits for that dispatch and replays its reply rather

@@ -141,8 +141,8 @@ class FaultInjectingChannel(Channel):
         so the waiter would time out.  ``drop_reply`` still delivers the
         request to the inner channel first (the server *did* process
         it), which is what makes retry-dedup tests honest.  Truncation
-        is not injected on this path (the reply bytes are owned by the
-        inner channel's reader thread once submitted).
+        is not injected on this path (once submitted, the reply bytes
+        reach the inner channel's future, not this wrapper).
         """
         from repro.transport.base import ReplyFuture
 

@@ -158,14 +158,14 @@ class RetryingChannel(Channel):
         """Pipelined submits delegate to the inner channel unretried.
 
         A future-based retry loop would have to block on each future to
-        observe its failure, defeating the pipelining; channels that
-        retry internally (TCP or multiplexing channels built with a
-        :class:`RetryPolicy`) give pipelined submits fault tolerance,
+        observe its failure, defeating the pipelining; a
+        :class:`~repro.transport.TCPChannel` built with a
+        :class:`RetryPolicy` retries inside its futures' ``result()``,
         while this wrapper's own loop protects :meth:`request` callers.
-        After a reconnect, a multiplexed inner channel re-sends only the
-        unacknowledged in-flight window, and the server's
-        :class:`~repro.transport.ReplyCache` deduplicates any request
-        that was actually processed (see ``docs/ROBUSTNESS.md``).
+        Each retry re-sends that one frame under its own sequence
+        number, and the server's :class:`~repro.transport.ReplyCache`
+        deduplicates any request that was actually processed (see
+        ``docs/ROBUSTNESS.md``).
         """
         return self._inner.submit(data)
 

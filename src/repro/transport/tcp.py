@@ -9,55 +9,46 @@ confusing two channels that reuse a client id).  A reply frame echoes
 the request's nonce and sequence number in a 16-byte header ahead of the
 message, so replies can be matched to requests by sequence number rather
 than by arrival order: many requests may be in flight on one socket and
-replies may return out of order (see ``MultiplexingChannel`` in
-``repro.transport.mux``).  The reserved pair ``(0, 0)`` marks a reply to
-a frame whose header could not be parsed and is therefore unattributable.
+replies may return out of order.  The reserved pair ``(0, 0)`` marks a
+reply to a frame whose header could not be parsed and is therefore
+unattributable.
 
-The server gives each connection two threads that take turns holding
-its *read role*: the thread that read a frame dispatches it and sends the
-reply on its own stack while its sibling reads on, and frames arriving
-meanwhile go to a shared dispatch pool, so a slow dispatch never blocks
-faster replies on the same socket.  Whichever thread finished a dispatch
-sends the reply (:class:`_SendCombiner`): replies that pile up behind a
-send leave in a single ``sendmsg`` while a lone reply still goes out
-immediately (``TCP_NODELAY`` stays set).  Push notifications are not
+This module holds the framing helpers and the threaded server; the
+client, :class:`~repro.transport.TCPChannel`, lives in
+``repro.transport.mux``.  The server gives each connection two threads
+that take turns holding its *read role*: the thread that read a frame
+dispatches it and sends the reply on its own stack while its sibling
+reads on, and frames arriving meanwhile go to a shared dispatch pool, so
+a slow dispatch never blocks faster replies on the same socket.
+Whichever thread finished a dispatch sends the reply
+(:class:`_SendCombiner`, which the client shares): replies that pile up
+behind a send leave in a single ``sendmsg`` while a lone reply still goes
+out immediately (``TCP_NODELAY`` stays set).  Push notifications are not
 supported over this transport (``can_push = False``); clients fall back
 to polling, exactly the degraded mode the paper's adaptive protocol
 anticipates.
 
-Fault tolerance (see ``docs/ROBUSTNESS.md``):
-
-- a :class:`TCPChannel` given a :class:`~repro.transport.RetryPolicy`
-  reconnects and re-sends after timeouts and disconnections, reusing the
-  request's sequence number;
-- the server answers malformed frames and dispatcher failures with an
-  encoded ``ErrorReply`` and keeps the connection alive;
-- a :class:`~repro.transport.ReplyCache` makes re-sent requests
-  idempotent: a sequence number the server already processed is answered
-  from the cache without re-dispatching, and a duplicate racing its
-  original dispatch waits and shares the reply.
+Fault tolerance (see ``docs/ROBUSTNESS.md``): the server answers
+malformed frames and dispatcher failures with an encoded ``ErrorReply``
+and keeps the connection alive, and a :class:`~repro.transport.ReplyCache`
+makes re-sent requests idempotent: a sequence number the server already
+processed is answered from the cache without re-dispatching, and a
+duplicate racing its original dispatch waits and shares the reply.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import queue
 import socket
 import struct
 import threading
 import time
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from repro.errors import (
-    RetryExhausted,
-    TransportDisconnected,
-    TransportError,
-    TransportTimeout,
-)
+from repro.errors import TransportError
 from repro.obs.metrics import get_registry
-from repro.transport.base import Channel, Dispatcher, ReplyCache
-from repro.transport.retry import RetryPolicy
+from repro.transport.base import Dispatcher, ReplyCache
 from repro.wire.messages import ErrorReply, encode_message
 
 _log = logging.getLogger("repro.transport.tcp")
@@ -74,26 +65,37 @@ _MAX_REPLY_BATCH = 32
 _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 
 
-def _sendmsg_all(sock: socket.socket, buffers: Iterable[bytes]) -> None:
+def _sendmsg_all(sock: socket.socket, buffers: Sequence[bytes],
+                 writable: Optional[Callable[[], None]] = None) -> None:
     """Send every buffer completely, without concatenating them first.
 
     ``sendmsg`` gathers the buffers into one syscall (and usually one
     TCP segment for small frames); a partial send resumes from the
-    offset reached.  Falls back to per-buffer ``sendall`` where
-    ``sendmsg`` is unavailable.
+    offset reached.  On a non-blocking socket, ``writable()`` waits
+    whenever the kernel takes nothing more (or raises).  Falls back to
+    per-buffer ``sendall`` where ``sendmsg`` is unavailable.
     """
     if not _HAS_SENDMSG:
         for buf in buffers:
             sock.sendall(buf)
         return
-    views: List[memoryview] = [memoryview(b) for b in buffers if len(b)]
-    while views:
-        sent = sock.sendmsg(views)
-        while views and sent >= len(views[0]):
+    views = buffers
+    while True:
+        try:
+            sent = sock.sendmsg(views)
+        except BlockingIOError:
+            if writable is None:
+                raise
+            writable()
+            continue
+        if sent == sum(map(len, views)):
+            return
+        # a partial send: resume from the offset reached
+        views = [memoryview(b) for b in views if len(b)]
+        while sent >= len(views[0]):
             sent -= len(views[0])
             views.pop(0)
-        if sent:
-            views[0] = views[0][sent:]
+        views[0] = views[0][sent:]
 
 
 class _SendCombiner:
@@ -177,7 +179,7 @@ def split_reply_frame(frame: bytes) -> Tuple[int, int, bytes]:
             f"{_REPLY_HEADER}-byte header")
     (nonce,) = _SEQ.unpack_from(frame, 0)
     (seq,) = _SEQ.unpack_from(frame, _SEQ.size)
-    return nonce, seq, frame[_REPLY_HEADER:]
+    return nonce, seq, bytes(memoryview(frame)[_REPLY_HEADER:])
 
 
 def request_frame_buffers(client_id: bytes, nonce: int, seq: int,
@@ -191,204 +193,6 @@ def request_frame_buffers(client_id: bytes, nonce: int, seq: int,
     header = (_LEN.pack(len(client_id)) + client_id
               + _SEQ.pack(nonce) + _SEQ.pack(seq))
     return _LEN.pack(len(header) + len(data)), header, data
-
-
-class TCPChannel(Channel):
-    """A client connection to a TCP server, one request at a time.
-
-    With a :class:`RetryPolicy`, transient faults (timeouts, resets, a
-    restarting server) trigger reconnection and an idempotent re-send;
-    without one, they surface as typed transport errors and the broken
-    connection is re-established lazily on the next request (never
-    reused, since a timed-out exchange may leave a stale reply in
-    flight).  For pipelined requests over one socket, see
-    :class:`repro.transport.MultiplexingChannel`.
-    """
-
-    can_push = False
-
-    def __init__(self, host: str, port: int, client_id: str, timeout: float = 10.0,
-                 retry: Optional[RetryPolicy] = None):
-        super().__init__()
-        self._host = host
-        self._port = port
-        self._client_id = client_id.encode("utf-8")
-        self._timeout = timeout
-        self._retry = retry
-        self._lock = threading.Lock()
-        self._sock: Optional[socket.socket] = None
-        self._ever_connected = False
-        self._closed = False
-        self._close_event = threading.Event()
-        # random session nonce: keys the server's reply-cache session, so
-        # a fresh channel reusing a client id never collides with the
-        # previous channel's sequence space
-        self._nonce = int.from_bytes(os.urandom(8), "big")
-        self._next_seq = 0
-        self.reconnects = 0
-        self.retries = 0
-        self.last_error: Optional[str] = None
-        metrics = get_registry()
-        self._m_retries = metrics.counter(
-            "transport.retries", "requests retried after a transient fault")
-        self._m_reconnects = metrics.counter(
-            "transport.reconnects", "channel connections re-established")
-        self._m_reconnect_seconds = metrics.histogram(
-            "transport.reconnect_seconds",
-            help="time spent re-establishing lost connections")
-        self._connect()
-
-    # -- connection management ------------------------------------------------
-
-    def _connect(self) -> socket.socket:
-        """(Re)establish the socket; raises typed, retryable errors."""
-        started = time.perf_counter()
-        try:
-            sock = socket.create_connection((self._host, self._port),
-                                            timeout=self._timeout)
-        except socket.timeout as exc:
-            raise TransportTimeout(
-                f"connect to {self._host}:{self._port} timed out after "
-                f"{self._timeout:g}s") from exc
-        except OSError as exc:
-            raise TransportDisconnected(
-                f"connect to {self._host}:{self._port} failed: {exc}") from exc
-        sock.settimeout(self._timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        if self._ever_connected:
-            self.reconnects += 1
-            self._m_reconnects.inc()
-            self._m_reconnect_seconds.observe(time.perf_counter() - started)
-            if self.reconnect_listener is not None:
-                self.reconnect_listener()
-        self._ever_connected = True
-        return sock
-
-    def _break(self) -> None:
-        """Abandon the connection: a failed exchange may have left an
-        unread reply in flight, so the socket must never be reused.
-
-        Deliberately lock-free (``request()`` holds ``self._lock`` for
-        its whole retry loop): closing the socket out from under a
-        blocked send/recv makes it fail with ``OSError``, which the
-        retry loop turns into a typed error.
-        """
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def break_connection(self) -> None:
-        """Drop the connection (fault-injection hook); the channel
-        reconnects on its next request.  Can sever an in-flight
-        request from another thread."""
-        self._break()
-
-    # -- requests -------------------------------------------------------------
-
-    def _match_reply(self, frame: bytes, seq: int) -> bytes:
-        """Validate a reply frame's echoed (nonce, seq) header.
-
-        With one request outstanding, the reply must carry this exact
-        exchange's identity — or ``(0, 0)``, the server's marker for an
-        answer to an unparseable frame.  Anything else means the stream
-        is desynchronized (a stale reply from a previous exchange leaked
-        through), which is unrecoverable on this socket.
-        """
-        nonce, r_seq, message = split_reply_frame(frame)
-        if (nonce, r_seq) != (self._nonce, seq) and (nonce, r_seq) != (0, 0):
-            raise TransportError(
-                f"reply for (nonce={nonce:#x}, seq={r_seq}) arrived while "
-                f"waiting for seq {seq}: reply stream desynchronized")
-        return message
-
-    def request(self, data: bytes) -> bytes:
-        if not isinstance(data, (bytes, bytearray)):
-            raise TransportError("channels carry bytes only; serialize the message first")
-        with self._lock:
-            if self._closed:
-                raise TransportError("channel is closed")
-            self._next_seq += 1
-            seq = self._next_seq
-            buffers = request_frame_buffers(
-                self._client_id, self._nonce, seq, bytes(data))
-            sent_bytes = sum(len(b) for b in buffers) - _LEN.size
-            failures = 0
-            while True:
-                if self._closed:
-                    raise TransportError("channel is closed")
-                started = time.perf_counter()
-                try:
-                    sock = self._sock
-                    if sock is None:
-                        sock = self._connect()
-                    _sendmsg_all(sock, buffers)
-                    reply_frame = _recv_frame(sock)
-                    if reply_frame is None:
-                        raise TransportDisconnected("server closed the connection")
-                    reply = self._match_reply(reply_frame, seq)
-                except socket.timeout as exc:
-                    error = TransportTimeout(
-                        f"TCP request timed out after {self._timeout:g}s")
-                    error.__cause__ = exc
-                except (TransportTimeout, TransportDisconnected) as exc:
-                    error = exc
-                except OSError as exc:
-                    error = TransportDisconnected(f"TCP request failed: {exc}")
-                    error.__cause__ = exc
-                except TransportError:
-                    # protocol corruption (oversized frame, desynchronized
-                    # reply stream): the stream is unrecoverable and a
-                    # retry would re-read the same bytes
-                    self._break()
-                    raise
-                else:
-                    self._record_request(sent_bytes, len(reply_frame),
-                                         time.perf_counter() - started)
-                    return reply
-                self._break()
-                self.last_error = str(error)
-                if self._closed:
-                    raise TransportError("channel is closed") from error
-                delay = self._retry.delay_for(failures) if self._retry else None
-                if delay is None:
-                    if self._retry is not None and failures:
-                        raise RetryExhausted(
-                            f"request to {self._host}:{self._port} failed after "
-                            f"{failures + 1} attempts: {error}") from error
-                    raise error
-                failures += 1
-                self.retries += 1
-                self._m_retries.inc()
-                # waiting on the close event (not time.sleep) lets a
-                # concurrent close() abort the backoff immediately
-                if delay > 0 and self._close_event.wait(delay):
-                    raise TransportError("channel is closed") from error
-
-    def health(self) -> dict:
-        state = super().health()
-        state.update({
-            "endpoint": f"{self._host}:{self._port}",
-            "connected": self._sock is not None,
-            "reconnects": self.reconnects,
-            "retries": self.retries,
-            "last_error": self.last_error,
-            "session_nonce": self._nonce,
-            "next_seq": self._next_seq,
-        })
-        return state
-
-    def close(self) -> None:
-        # lock-free on purpose: request() holds self._lock across its
-        # whole retry loop (backoff sleeps included), so close() must
-        # interrupt from outside — the event aborts a pending backoff
-        # and breaking the socket fails a blocked send/recv
-        self._closed = True
-        self._close_event.set()
-        self._break()
 
 
 class RequestFrameCore:

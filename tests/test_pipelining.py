@@ -29,9 +29,9 @@ from repro.errors import (
 from repro.transport import (
     FaultInjectingChannel,
     FaultPlan,
-    MultiplexingChannel,
     MuxConnectionPool,
     RetryPolicy,
+    TCPChannel,
 )
 from repro.transport.base import Dispatcher, ReplyCache
 from repro.types import INT
@@ -87,9 +87,8 @@ def echo_transport(backend):
 
 
 def _mux(transport, client_id="m", timeout=2.0, retry=None):
-    return MultiplexingChannel("127.0.0.1", transport.port,
-                               client_id=client_id, timeout=timeout,
-                               retry=retry)
+    return TCPChannel("127.0.0.1", transport.port, client_id,
+                      timeout=timeout, retry=retry)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +215,11 @@ class TestFailureIsolation:
             with pytest.raises(TransportTimeout):
                 channel.request(b"slow:orphan")  # waiter gives up
             dispatcher.release.set()  # now the reply lands with no waiter
-            deadline = time.time() + 2.0
-            while channel.health()["orphan_replies"] == 0:
-                assert time.time() < deadline, "orphan reply never surfaced"
-                time.sleep(0.01)
+            time.sleep(0.2)
+            # nothing reads an idle socket: the next request's read meets
+            # the late reply first, counts it and does not deliver it
             assert channel.request(b"fast:after") == b"echo:fast:after"
+            assert channel.health()["orphan_replies"] == 1
         finally:
             dispatcher.release.set()
             channel.close()

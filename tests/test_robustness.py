@@ -32,6 +32,7 @@ from repro.transport import (
     Dispatcher,
     FaultInjectingChannel,
     FaultPlan,
+    MuxConnectionPool,
     ReplyCache,
     RetryingChannel,
     RetryPolicy,
@@ -459,33 +460,29 @@ class TestTCPRetry:
     @pytest.mark.parametrize("backend", SERVER_BACKENDS)
     def test_close_interrupts_retry_backoff(self, backend):
         """close() must abort a pending backoff at once, not wait out the
-        schedule (request() holds the channel lock the whole time)."""
+        schedule."""
         transport = make_server_transport(backend, EchoServer())
         policy = RetryPolicy(max_attempts=50, base_delay=30.0, jitter=0.0)
         channel = TCPChannel("127.0.0.1", transport.port, "c", timeout=0.5,
                              retry=policy)
-        errors = []
         try:
-            assert channel.request(b"one") == b"echo:one"
-            transport.close()
-
-            def worker():
-                try:
-                    channel.request(b"two")
-                except TransportError as exc:
-                    errors.append(exc)
-
-            thread = threading.Thread(target=worker)
-            thread.start()
-            time.sleep(0.3)  # let the attempt fail and enter the 30 s backoff
-            started = time.perf_counter()
-            channel.close()
-            thread.join(timeout=5.0)
-            assert not thread.is_alive()
-            assert time.perf_counter() - started < 5.0
-            assert errors and "closed" in str(errors[0])
+            _assert_close_interrupts_backoff(channel, transport)
         finally:
             channel.close()
+            transport.close()
+
+    def test_close_interrupts_retry_backoff_on_a_pool_channel(self):
+        """The same on a channel over a shared core: closing the channel
+        (not the pool) ends its backoff."""
+        transport = make_server_transport("threads", EchoServer())
+        pool = MuxConnectionPool(
+            {"s": ("127.0.0.1", transport.port)}, timeout=0.5,
+            retry=RetryPolicy(max_attempts=50, base_delay=30.0, jitter=0.0))
+        channel = pool.connect("s", "c")
+        try:
+            _assert_close_interrupts_backoff(channel, transport)
+        finally:
+            pool.close()
             transport.close()
 
     @pytest.mark.parametrize("backend", SERVER_BACKENDS)
@@ -503,6 +500,28 @@ class TestTCPRetry:
                 channel.close()
         finally:
             transport.close()
+
+
+def _assert_close_interrupts_backoff(channel, transport):
+    errors = []
+    assert channel.request(b"one") == b"echo:one"
+    transport.close()
+
+    def worker():
+        try:
+            channel.request(b"two")
+        except TransportError as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    time.sleep(0.3)  # let the attempt fail and enter the 30 s backoff
+    started = time.perf_counter()
+    channel.close()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert time.perf_counter() - started < 5.0
+    assert errors and "closed" in str(errors[0])
 
 
 # ---------------------------------------------------------------------------

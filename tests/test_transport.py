@@ -1,7 +1,9 @@
 """Tests for transports: in-process hub and real TCP sockets."""
 
+import os
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -14,13 +16,14 @@ from repro.transport import (
     AsyncTCPServerTransport,
     Dispatcher,
     InProcHub,
-    MultiplexingChannel,
+    MuxConnectionPool,
     NetworkModel,
     ReplyCache,
     RetryPolicy,
     TCPChannel,
     TCPServerTransport,
 )
+from repro.transport import mux as mux_module
 from repro.transport import tcp as tcp_module
 from repro.util.clock import VirtualClock
 from repro.wire.messages import ErrorReply, decode_message
@@ -314,9 +317,10 @@ class TestTCPFaultPaths:
             transport.close()
 
     @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_timed_out_socket_is_never_reused(self, backend):
-        """After a timeout the reply is still in flight; reusing the
-        socket would hand request N's reply to request N+1."""
+    def test_timed_out_reply_is_never_delivered(self, backend):
+        """After a timeout the reply is still in flight; the socket is
+        kept, and the late reply, matched by sequence number, is counted
+        as an orphan instead of answering request N+1."""
 
         class SlowFirst(Dispatcher):
             def __init__(self):
@@ -329,16 +333,15 @@ class TestTCPFaultPaths:
                 return b"echo:" + data
 
         transport = make_server_transport(backend, SlowFirst())
-        # the timeout must outlast the remainder of the first dispatch:
-        # the server serializes one client's requests (reply-cache session
-        # lock), so request "b" queues behind the sleeping dispatch of "a"
         channel = TCPChannel("127.0.0.1", transport.port, "c", timeout=0.6)
         try:
             with pytest.raises(TransportTimeout):
                 channel.request(b"a")
-            assert not channel.health()["connected"]
-            # the retry reconnects; the stale "echo:a" died with the socket
+            assert channel.health()["connected"]
+            time.sleep(0.6)  # "echo:a" lands while nobody waits for it
             assert channel.request(b"b") == b"echo:b"
+            assert channel.health()["orphan_replies"] == 1
+            assert channel.reconnects == 0  # answered on the same socket
         finally:
             channel.close()
             transport.close()
@@ -475,8 +478,8 @@ class TestRunToCompletion:
     def test_frames_behind_a_slow_dispatch_go_to_the_pool(self):
         dispatcher = ThreadRecorder()
         transport = TCPServerTransport(dispatcher)
-        channel = MultiplexingChannel("127.0.0.1", transport.port,
-                                      client_id="m", timeout=5.0)
+        channel = TCPChannel("127.0.0.1", transport.port, "m",
+                             timeout=5.0)
         try:
             slow = channel.submit(b"slow:a")
             assert dispatcher.entered.wait(timeout=5.0)
@@ -529,8 +532,8 @@ class TestRunToCompletion:
             real_send(sock, buffers)
 
         transport = TCPServerTransport(Together(), dispatch_workers=8)
-        channel = MultiplexingChannel("127.0.0.1", transport.port,
-                                      client_id="m", timeout=5.0)
+        channel = TCPChannel("127.0.0.1", transport.port, "m",
+                             timeout=5.0)
         batches = transport._m_reply_batch
         count, total = batches.count, batches.sum
         errors = []
@@ -628,33 +631,35 @@ class TestRunToCompletion:
             sock.close()
             transport.close()
 
-    def test_mux_core_is_one_thread_and_sends_once_after_reconnect(self):
+    def test_mux_core_has_no_thread_and_sends_once_after_reconnect(self):
         dispatcher = ThreadRecorder()
         cache = ReplyCache()
         transport = TCPServerTransport(dispatcher, reply_cache=cache)
         port = transport.port
-        before = len(_threads_named("repro-mux-"))
-        channel = MultiplexingChannel(
-            "127.0.0.1", port, client_id="m", timeout=5.0,
+        before = _client_threads()
+        channel = TCPChannel(
+            "127.0.0.1", port, "m", timeout=5.0,
             retry=RetryPolicy(max_attempts=50, base_delay=0.02,
                               max_delay=0.05, jitter=0.0))
         try:
-            assert len(_threads_named("repro-mux-")) == before + 1
             assert channel.request(b"up") == b"echo:up"
-            transport.close()  # the reader sees end of stream
-            _wait_for(lambda: not channel.health()["connected"], "the break")
+            assert _client_threads() == before
+            transport.close()
+            channel.break_connection()  # the socket is down...
             futures = [channel.submit(b"down%d" % i) for i in range(3)]
-            time.sleep(0.1)  # a few failed reconnects with frames queued
+            time.sleep(0.1)  # ...and nobody waits: the frames stay queued
             assert not any(future.done() for future in futures)
             hits = cache._m_hits.value
             transport = TCPServerTransport(dispatcher, port=port,
                                            reply_cache=cache)
+            # the first waiter reconnects and the queue goes out once
             for i, future in enumerate(futures):
                 assert future.result(timeout=5.0) == b"echo:down%d" % i
             assert [dispatcher.counts[b"down%d" % i] for i in range(3)] \
                 == [1, 1, 1]
             assert cache._m_hits.value == hits, "a queued frame went out twice"
             assert channel.health()["orphan_replies"] == 0
+            assert channel.reconnects == 1
         finally:
             channel.close()
             transport.close()
@@ -663,21 +668,331 @@ class TestRunToCompletion:
         cache = ReplyCache()
         transport = TCPServerTransport(EchoServer(), reply_cache=cache)
         port = transport.port
-        channel = MultiplexingChannel(
-            "127.0.0.1", port, client_id="m", timeout=5.0,
+        channel = TCPChannel(
+            "127.0.0.1", port, "m", timeout=5.0,
             retry=RetryPolicy(max_attempts=50, base_delay=0.02,
                               max_delay=0.05, jitter=0.0))
-        submitted = []
-        channel.reconnect_listener = lambda: submitted.append(
-            channel.submit(b"from-listener"))
+        from_listener = []
+
+        def listener():
+            from_listener.append(channel.submit(b"submitted"))
+            from_listener.append(channel.request(b"requested"))
+
+        channel.reconnect_listener = listener
         try:
             assert channel.request(b"a") == b"echo:a"
-            transport.close()  # the reader sees end of stream and heals
+            transport.close()
             transport = TCPServerTransport(EchoServer(), port=port,
                                            reply_cache=cache)
-            _wait_for(lambda: submitted, "the reconnect listener")
-            assert submitted[0].result(timeout=5.0) == b"echo:from-listener"
+            # the next request finds the socket gone and reconnects; the
+            # listener runs holding no lock and no read role
             assert channel.request(b"b") == b"echo:b"
+            assert from_listener[0].result(timeout=5.0) == b"echo:submitted"
+            assert from_listener[1] == b"echo:requested"
+            assert channel.reconnects == 1
         finally:
             channel.close()
             transport.close()
+
+
+def _client_threads():
+    """Threads other than the threaded server core's connection threads."""
+    return {t for t in threading.enumerate()
+            if not t.name.startswith("repro-conn-")}
+
+
+def _client_fds(port):
+    """This process's descriptors of sockets connected to ``port``."""
+    sockets = set()
+    with open("/proc/net/tcp") as table:
+        next(table)
+        for line in table:
+            fields = line.split()
+            if int(fields[2].split(":")[1], 16) == port:
+                sockets.add(f"socket:[{fields[9]}]")
+    fds = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            if os.readlink(f"/proc/self/fd/{fd}") in sockets:
+                fds.append(fd)
+        except OSError:
+            pass  # closed while we looked
+    return fds
+
+
+class TestWaiterReads:
+    """The TCP client has no thread: the waiter holding the read role
+    reads, delivers other waiters' replies, and hands the role on."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Names of the threads that read a reply frame."""
+        seen = []
+        real = mux_module._read_frame
+
+        def recording(*args):
+            frame = real(*args)
+            if frame is not None:
+                seen.append(threading.current_thread().name)
+            return frame
+
+        monkeypatch.setattr(mux_module, "_read_frame", recording)
+        return seen
+
+    def test_serial_requests_read_on_the_requesting_thread(self, reads):
+        transport = TCPServerTransport(EchoServer())
+        channel = TCPChannel("127.0.0.1", transport.port, "serial")
+        try:
+            for i in range(200):
+                assert channel.request(b"r%d" % i) == b"echo:r%d" % i
+        finally:
+            channel.close()
+            transport.close()
+        assert reads == [threading.current_thread().name] * 200
+
+    def test_building_channels_starts_no_thread(self):
+        transport = make_server_transport("asyncio", EchoServer())
+        pool = MuxConnectionPool({"s": ("127.0.0.1", transport.port)})
+        try:
+            baseline = threading.active_count()
+            channels = [TCPChannel("127.0.0.1", transport.port, f"c{i}")
+                        for i in range(100)]
+            channels.append(pool.connect("s", "pooled"))
+            assert channels[0].request(b"x") == b"echo:x"
+            assert threading.active_count() == baseline
+            for channel in channels:
+                channel.close()
+        finally:
+            pool.close()
+            transport.close()
+
+    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
+    def test_every_reply_reaches_its_own_waiter(self, backend):
+        class SometimesSlow(Dispatcher):
+            def dispatch(self, client_id, data):
+                if data.endswith(b"0"):  # one request in ten
+                    time.sleep(0.005)
+                return b"echo:" + data
+
+        transport = make_server_transport(backend, SometimesSlow())
+        channel = TCPChannel("127.0.0.1", transport.port, "m", timeout=10.0)
+        errors = []
+
+        def worker(index):
+            try:
+                for i in range(200):
+                    payload = b"t%d-%d" % (index, i)
+                    assert channel.request(payload) == b"echo:" + payload
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid hand-off
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            assert errors == []
+            health = channel.health()
+            assert health["orphan_replies"] == 0
+            assert health["inflight"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+            channel.close()
+            transport.close()
+
+    def test_holder_times_out_alone_and_hands_the_role_on(self, reads):
+        class Held(Dispatcher):
+            def dispatch(self, client_id, data):
+                time.sleep(2.0 if data == b"never" else 0.4)
+                return b"echo:" + data
+
+        transport = TCPServerTransport(Held())
+        patient = TCPChannel("127.0.0.1", transport.port, "patient",
+                             timeout=5.0)
+        hasty = TCPChannel("127.0.0.1", transport.port, "hasty",
+                           timeout=0.15, core=patient._core)
+        outcome = {}
+
+        def ask(name, channel, payload):
+            try:
+                outcome[name] = channel.request(payload)
+            except TransportError as exc:
+                outcome[name] = exc
+
+        first = threading.Thread(target=ask, name="hasty",
+                                 args=("hasty", hasty, b"never"))
+        second = threading.Thread(target=ask, name="patient",
+                                  args=("patient", patient, b"later"))
+        try:
+            first.start()
+            _wait_for(lambda: patient._core._reading, "the hasty reader")
+            second.start()
+            first.join(timeout=5.0)
+            second.join(timeout=5.0)
+            assert isinstance(outcome["hasty"], TransportTimeout)
+            assert outcome["patient"] == b"echo:later"
+            # the role passed to the patient waiter, which read its own reply
+            assert reads == ["patient"]
+        finally:
+            patient.close()
+            transport.close()
+
+    def test_a_trickled_frame_is_never_cut(self):
+        transport = TCPServerTransport(EchoServer())
+        relay = _TrickleRelay(transport.port, delay=0.002)
+        # the deadline bounds the wait for a frame to start; this reply
+        # takes ~0.1 s to trickle in, twice the deadline
+        channel = TCPChannel("127.0.0.1", relay.port, "c", timeout=0.05)
+        try:
+            payload = b"x" * 30
+            assert channel.request(payload) == b"echo:" + payload
+            assert channel.request(b"again") == b"echo:again"
+            assert channel.health()["orphan_replies"] == 0
+            assert channel.reconnects == 0
+        finally:
+            channel.close()
+            relay.close()
+            transport.close()
+
+    def test_close_fails_the_reader_and_every_waiter(self):
+        dispatcher = ThreadRecorder()
+        transport = TCPServerTransport(dispatcher)
+        channel = TCPChannel("127.0.0.1", transport.port, "m", timeout=10.0)
+        errors = []
+
+        def ask(index):
+            try:
+                channel.request(b"slow:%d" % index)
+            except TransportError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            _wait_for(lambda: len(dispatcher.counts) == 4, "four dispatches")
+            assert channel._core._reading  # one reads, three wait
+            started = time.monotonic()
+            channel.close()
+            for thread in threads:
+                thread.join(timeout=1.0)
+                assert not thread.is_alive()
+            assert time.monotonic() - started < 1.0
+            assert len(errors) == 4
+        finally:
+            dispatcher.release.set()
+            channel.close()
+            transport.close()
+
+    def test_one_pool_channel_times_out_and_the_other_completes(self):
+        dispatcher = ThreadRecorder()
+        transport = TCPServerTransport(dispatcher)
+        pool = MuxConnectionPool({"s": ("127.0.0.1", transport.port)},
+                                 timeout=0.3)
+        stuck, fine = pool.connect("s", "stuck"), pool.connect("s", "fine")
+        outcome = {}
+
+        def stuck_request():
+            try:
+                stuck.request(b"slow:stuck")
+            except TransportError as exc:
+                outcome["stuck"] = exc
+
+        thread = threading.Thread(target=stuck_request)
+        try:
+            thread.start()
+            assert dispatcher.entered.wait(timeout=5.0)
+            assert fine.request(b"fine") == b"echo:fine"
+            thread.join(timeout=5.0)
+            assert isinstance(outcome["stuck"], TransportTimeout)
+            assert fine.request(b"still") == b"echo:still"
+        finally:
+            dispatcher.release.set()
+            pool.close()
+            transport.close()
+
+    def test_byte_accounting_is_one_rule(self):
+        """Frame bytes after the length prefix, in both directions, on an
+        own-core channel and a pooled one alike: 29 out and 25 back for
+        this exchange, as the serial channel always counted."""
+        transport = TCPServerTransport(EchoServer())
+        pool = MuxConnectionPool({"s": ("127.0.0.1", transport.port)})
+        channels = [TCPChannel("127.0.0.1", transport.port, "bytes"),
+                    pool.connect("s", "bytes")]
+        try:
+            for channel in channels:
+                assert channel.request(b"ping") == b"echo:ping"
+                assert (channel.stats.bytes_sent,
+                        channel.stats.bytes_received) == (29, 25)
+        finally:
+            for channel in channels:
+                channel.close()
+            pool.close()
+            transport.close()
+
+    def test_break_and_close_leave_no_descriptor_behind(self):
+        transport = TCPServerTransport(EchoServer())
+        try:
+            idle = TCPChannel("127.0.0.1", transport.port, "idle")
+            idle.break_connection()  # nobody is reading: the next request
+            assert idle.request(b"x") == b"echo:x"  # reconnects, once
+            assert idle.reconnects == 1
+            idle.close()
+            for i in range(50):
+                channel = TCPChannel("127.0.0.1", transport.port, f"c{i}")
+                channel.break_connection()
+                channel.close()
+            assert _client_fds(transport.port) == []
+        finally:
+            transport.close()
+
+
+class _TrickleRelay:
+    """Forwards requests as they come and replies one byte at a time."""
+
+    def __init__(self, upstream_port, delay):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._upstream_port = upstream_port
+        self._delay = delay
+        self._socks = [self._listener]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        try:
+            client, _ = self._listener.accept()
+        except OSError:
+            return
+        upstream = socket.create_connection(("127.0.0.1", self._upstream_port))
+        self._socks += [client, upstream]
+        threading.Thread(target=self._pump, args=(client, upstream, 0),
+                         daemon=True).start()
+        self._pump(upstream, client, self._delay)
+
+    @staticmethod
+    def _pump(source, sink, delay):
+        try:
+            while True:
+                data = source.recv(65536)
+                if not data:
+                    return
+                if not delay:
+                    sink.sendall(data)
+                    continue
+                for i in range(len(data)):
+                    time.sleep(delay)
+                    sink.sendall(data[i:i + 1])
+        except OSError:
+            return
+
+    def close(self):
+        for sock in self._socks:
+            try:
+                sock.close()
+            except OSError:
+                pass
