@@ -49,8 +49,7 @@ import numpy as np
 from repro import ClientOptions, InProcHub, InterWeaveClient, InterWeaveServer
 from repro.arch import X86_32
 from repro.obs import get_registry, write_sidecar
-from common import make_tcp_server_transport
-from repro.transport import MuxConnectionPool
+from repro.transport import MuxConnectionPool, TCPServerTransport
 from repro.transport.base import NotificationSink
 from repro.types import INT, ArrayDescriptor
 from repro.wire.messages import SubscribeRequest
@@ -190,7 +189,7 @@ def run_mux_scenario(duration: float = DURATION) -> dict:
     serial channel.
     """
     server = InterWeaveServer("bench")
-    transport = make_tcp_server_transport(server)
+    transport = TCPServerTransport(server)
     pool = MuxConnectionPool({"bench": ("127.0.0.1", transport.port)})
     try:
         writer = InterWeaveClient(

@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Connection-scale comparison: threaded vs asyncio server core.
+"""Connection scale: the server core at 1k/5k/10k connections.
 
 The paper's servers hold long-lived sessions for every sharing client;
 a segment served to thousands of mostly-idle clients stresses the
-*connection plane*, not the data plane.  The thread-per-connection
-transport pays two OS threads per connection; the asyncio core
-(``repro.transport.aio``) multiplexes every connection onto one event
-loop.  This benchmark prices that difference at 1k/5k/10k concurrent
+*connection plane*, not the data plane.  The server core keeps every
+socket on one epoll and spends threads on concurrent dispatches, not on
+connections.  This benchmark prices that at 1k/5k/10k concurrent
 connections:
 
 - every connection is *idle-mostly*: it completes one seq-0 handshake
@@ -19,12 +18,20 @@ connections:
   hot-path p50/p99 latency, and per-connection resident memory measured
   across connection establishment.
 
-The threaded backend is measured at its own survivable scale
-(``REPRO_BENCH_CONNSCALE_THREADED_MAX`` connections, default 5000 —
-two OS threads per connection make 10k a 20k-thread server); the
-asyncio backend runs every point including 10k.  Acceptance: at the
-5k point the asyncio core sustains >= 2x the threaded backend's
-aggregate requests/s, and the 10k asyncio point completes cleanly.
+The numbers depend on which ``src/`` is on ``PYTHONPATH``, so an older
+commit can be measured by this same file: ``--baseline LABEL`` measures
+whatever server cores the importable ``repro`` carries and stores the
+points under ``baseline`` (kept by later runs).  Run against a tree
+that still had the thread-per-connection and asyncio cores, it prices
+both (the threaded one up to ``REPRO_BENCH_CONNSCALE_THREADED_MAX``
+connections, default 5000 — two OS threads per connection make 10k a
+20k-thread server).  Record the baseline on the host that checks the
+bar, right before the run (CI measures commit 9174bd5, the last with
+both cores): a core's numbers move by a third between runs and by 2x
+between hosts.  Acceptance: at the 5k point the core sustains
+>= 2x the recorded threaded baseline's aggregate requests/s and at
+least the recorded asyncio baseline's, the 10k point completes
+cleanly, and no point costs more than 6 KiB of RSS per connection.
 
 Results land in ``BENCH_connscale.json`` at the repo root plus a
 metrics sidecar in ``benchmarks/out/``.  The whole run is
@@ -35,6 +42,9 @@ wedged teardown fails loudly instead of hanging CI.
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_connscale.py
+    mkdir -p /tmp/two-cores && git archive 9174bd5 src | tar -x -C /tmp/two-cores
+    PYTHONPATH=/tmp/two-cores/src python benchmarks/bench_connscale.py \
+        --baseline two-cores@9174bd5
 
 or as a test::
 
@@ -54,7 +64,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from common import make_tcp_server_transport
+from common import server_cores
 
 from repro import ClientOptions, InterWeaveClient, InterWeaveServer
 from repro.arch import X86_32
@@ -77,8 +87,8 @@ DURATION = float(os.environ.get("REPRO_BENCH_CONNSCALE_SECONDS", "2.0"))
 #: target interval between background pings to each idle connection
 PING_INTERVAL = float(os.environ.get("REPRO_BENCH_CONNSCALE_PING_INTERVAL",
                                      "1.0"))
-#: largest connection count the thread-per-connection backend is asked
-#: to survive (two OS threads per connection)
+#: largest connection count a baseline's thread-per-connection core is
+#: asked to survive (two OS threads per connection)
 THREADED_MAX = int(os.environ.get("REPRO_BENCH_CONNSCALE_THREADED_MAX",
                                   "5000"))
 #: per-point hang guard, like REPRO_BENCH_DURABILITY_DEADLINE
@@ -380,9 +390,8 @@ def run_point(backend: str, conns: int,
               flush=True)
 
     server = InterWeaveServer("bench")
-    transport = make_tcp_server_transport(
-        server, backend=backend,
-        reply_cache=ReplyCache(max_clients=max(1024, 2 * hot)))
+    transport = server_cores()[backend](
+        server, reply_cache=ReplyCache(max_clients=max(1024, 2 * hot)))
     pinger = None
     socks = []
     try:
@@ -444,30 +453,61 @@ def run_point(backend: str, conns: int,
         deadline.check("teardown")
 
 
-def run_all(duration: float = DURATION) -> dict:
-    registry = get_registry()
-    registry.reset()
+def measure(duration: float = DURATION) -> list:
+    """Every point, on every server core the importable ``repro`` has."""
     points = []
     for conns in POINTS:
-        for backend in ("threads", "asyncio"):
+        for backend in server_cores():
             if backend == "threads" and conns > THREADED_MAX:
                 continue  # 2 threads/conn: not a survivable scale
             points.append(run_point(backend, conns, duration))
+    return points
+
+
+def _stored() -> dict:
+    try:
+        with open(RESULTS_PATH) as handle:
+            return json.load(handle)
+    except (OSError, ValueError):
+        return {}
+
+
+def _write(results: dict) -> None:
+    with open(RESULTS_PATH, "w") as handle:
+        json.dump(results, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def run_all(duration: float = DURATION) -> dict:
+    registry = get_registry()
+    registry.reset()
     results = {
-        "points": points,
+        "points": measure(duration),
         "config": {"points": POINTS, "duration_s": duration,
                    "ping_interval_s": PING_INTERVAL,
                    "threaded_max_connections": THREADED_MAX,
                    "workload": "idle-mostly fleet with paced pings plus a "
                                "closed-loop read-validate hot subset"},
     }
+    # measured against another src/: this run cannot reproduce it
+    baseline = _stored().get("baseline")
+    if baseline is not None:
+        results["baseline"] = baseline
     os.makedirs(OUT_DIR, exist_ok=True)
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write(results)
     write_sidecar(os.path.join(OUT_DIR, "bench_connscale.metrics.json"),
                   registry.snapshot())
     return results
+
+
+def record_baseline(label: str) -> dict:
+    """Measure whatever ``repro`` is importable and store it as the
+    baseline, leaving the rest of BENCH_connscale.json alone."""
+    baseline = {"label": label, "points": measure()}
+    results = _stored()
+    results["baseline"] = baseline
+    _write(results)
+    return baseline
 
 
 _cache: dict = {}
@@ -479,39 +519,52 @@ def _results() -> dict:
     return _cache["results"]
 
 
-def _point(results, backend, conns):
-    for point in results["points"]:
+def _point(points, backend, conns):
+    for point in points:
         if (point["backend"] == backend
                 and point["requested_connections"] == conns):
             return point
     return None
 
 
-def test_asyncio_doubles_threaded_throughput_at_5k():
-    """At the 5k point the asyncio core must sustain >= 2x the threaded
-    backend's aggregate requests/s (threaded measured at its own
-    survivable scale, capped by THREADED_MAX)."""
+def test_core_beats_both_baseline_cores_at_5k():
+    """At the 5k point the core sustains >= 2x the recorded threaded
+    baseline's aggregate requests/s (that core measured at its own
+    survivable scale, capped by THREADED_MAX) and at least the recorded
+    asyncio baseline's."""
     results = _results()
+    baseline = results.get("baseline")
+    assert baseline is not None, \
+        "no baseline recorded: measure the parent with --baseline LABEL"
     target = 5000 if 5000 in POINTS else max(POINTS)
-    aio = _point(results, "asyncio", target)
-    assert aio is not None and aio["requests_per_s"] > 0
-    threaded_points = [p for p in results["points"]
+    core = _point(results["points"], "epoll", target)
+    assert core is not None and core["requests_per_s"] > 0
+    threaded_points = [p for p in baseline["points"]
                        if p["backend"] == "threads"]
-    assert threaded_points, "no survivable threaded point was measured"
+    assert threaded_points, "the baseline holds no threaded point"
     threaded = max(threaded_points, key=lambda p: p["connections"])
-    ratio = aio["requests_per_s"] / max(threaded["requests_per_s"], 1e-9)
-    assert ratio >= 2.0, (ratio, aio, threaded)
+    assert core["requests_per_s"] >= 2.0 * threaded["requests_per_s"], \
+        (core, threaded)
+    asyncio_point = _point(baseline["points"], "asyncio", target)
+    assert asyncio_point is not None, "the baseline holds no asyncio point"
+    assert core["requests_per_s"] >= asyncio_point["requests_per_s"], \
+        (core, asyncio_point)
 
 
-def test_asyncio_completes_10k_point():
-    """The 10k asyncio point must complete without error (run_point
-    raises on any hot-worker failure)."""
-    results = _results()
-    target = max(POINTS)
-    aio = _point(results, "asyncio", target)
-    assert aio is not None
-    assert aio["requests_per_s"] > 0
-    assert aio["hot_p99_ms"] > 0
+def test_core_completes_10k_point():
+    """The largest point must complete without error (run_point raises
+    on any hot-worker failure)."""
+    core = _point(_results()["points"], "epoll", max(POINTS))
+    assert core is not None
+    assert core["requests_per_s"] > 0
+    assert core["hot_p99_ms"] > 0
+
+
+def test_connections_cost_under_6k_each():
+    """A connection costs no thread: at most 6 KiB of RSS each, at every
+    point (client and server halves both live in this process)."""
+    for point in _results()["points"]:
+        assert point["rss_per_connection_bytes"] <= 6 * 1024, point
 
 
 def test_results_file_written():
@@ -521,20 +574,31 @@ def test_results_file_written():
     assert doc["points"]
 
 
-def main() -> None:
-    results = _results()
-    config = results["config"]
-    print(f"connection scale (idle-mostly fleet, "
-          f"{config['duration_s']:.1f}s window, pings every "
-          f"{config['ping_interval_s']:.1f}s)")
-    print(f"{'backend':>8s} {'conns':>6s} {'req/s':>9s} {'hot p50':>9s} "
+def _print_points(title: str, points: list) -> None:
+    print(title)
+    print(f"{'core':>8s} {'conns':>6s} {'req/s':>9s} {'hot p50':>9s} "
           f"{'hot p99':>9s} {'rss/conn':>9s} {'connect':>8s}")
-    for point in results["points"]:
+    for point in points:
         print(f"{point['backend']:>8s} {point['connections']:6d} "
               f"{point['requests_per_s']:9.0f} "
               f"{point['hot_p50_ms']:8.2f}m {point['hot_p99_ms']:8.2f}m "
               f"{point['rss_per_connection_bytes'] / 1024:8.1f}K "
               f"{point['connect_s']:7.1f}s")
+
+
+def main() -> None:
+    if sys.argv[1:2] == ["--baseline"]:
+        baseline = record_baseline(sys.argv[2])
+        _print_points(f"baseline [{baseline['label']}]", baseline["points"])
+        return
+    results = _results()
+    config = results["config"]
+    _print_points(f"connection scale (idle-mostly fleet, "
+                  f"{config['duration_s']:.1f}s window, pings every "
+                  f"{config['ping_interval_s']:.1f}s)", results["points"])
+    if "baseline" in results:
+        _print_points(f"baseline [{results['baseline']['label']}]",
+                      results["baseline"]["points"])
     print(f"[results -> {os.path.relpath(RESULTS_PATH)}]")
 
 

@@ -689,7 +689,12 @@ def _quorum_mode(quorum: bool, sections: int) -> dict:
     # flush, the queue's records are gone
     failable.dead = True
     abandoned = sender.abandon()
-    backup_version = backup.segments[segment_name].state.version
+    # the record the worker already had in hand still lands (or fails):
+    # wait for it, so the count below is a fact and not a race
+    sender.flush()
+    # in async mode the backup may never have seen the segment at all
+    replica = backup.segments.get(segment_name)
+    backup_version = replica.state.version if replica is not None else 0
     lost = max(0, (seed_version + acked) - backup_version)
     coordinator.promote_backup("primary", "backup")
 

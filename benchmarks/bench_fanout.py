@@ -48,7 +48,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from common import LatencyRelay, make_tcp_server_transport
+from common import LatencyRelay
 
 from repro import (
     CachingProxy,
@@ -59,6 +59,7 @@ from repro import (
     MuxConnectionPool,
     RetryPolicy,
     TCPChannel,
+    TCPServerTransport,
 )
 from repro.arch import X86_32
 from repro.obs import get_registry, write_sidecar
@@ -169,7 +170,7 @@ def _run_mode(label: str, port: int, origin_metrics: MetricsRegistry,
 def run_fanout_comparison(duration: float = DURATION) -> dict:
     origin_metrics = MetricsRegistry()
     origin = InterWeaveServer("bench", metrics=origin_metrics)
-    origin_transport = make_tcp_server_transport(origin)
+    origin_transport = TCPServerTransport(origin)
     relay = LatencyRelay("127.0.0.1", origin_transport.port, delay=LINK_DELAY)
 
     # seed the hot segment straight at the origin — only measured traffic
@@ -190,7 +191,7 @@ def run_fanout_comparison(duration: float = DURATION) -> dict:
                                  timeout=30.0, retry=RetryPolicy())
         proxy = CachingProxy("bench", connector=pool.connect,
                              max_staleness=MAX_STALENESS)
-        proxy_transport = make_tcp_server_transport(proxy)
+        proxy_transport = TCPServerTransport(proxy)
         proxied = _run_mode("proxied", proxy_transport.port, origin_metrics,
                             duration)
         proxied["proxy"] = proxy.stats_snapshot()["proxy"]

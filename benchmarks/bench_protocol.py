@@ -41,11 +41,12 @@ three ``small_sections`` control messages, kept here as the reference.
 
 **Serial RPC** (``serial_rpc``): the bare request path — an echo
 dispatcher in a child process, one :class:`TCPChannel`, one request at a
-time, 100 B and 26 KB payloads, on both server cores; p50 / p90 in
+time, 100 B and 26 KB payloads, on the server core; p50 / p90 in
 microseconds.  It prices the hand-offs between reading a frame and
 sending its reply, with no lock protocol on top.  The numbers depend on
 which ``src/`` is on ``PYTHONPATH``, so a previous commit can be
-measured by this same file: ``--serial-rpc-baseline LABEL`` measures and
+measured by this same file: ``--baseline LABEL`` measures every server
+core that ``src/`` carries (``benchmarks/common.server_cores``) and
 stores the point under ``serial_rpc.baseline`` (kept by later runs).
 
 Results land in ``BENCH_protocol.json`` at the repo root plus a metrics
@@ -55,7 +56,7 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_protocol.py
     PYTHONPATH=/path/to/parent/src python benchmarks/bench_protocol.py \
-        --serial-rpc-baseline parent@565f18d
+        --baseline parent@9174bd5
 
 as a test (pipelining + codec only)::
 
@@ -81,12 +82,12 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import pytest
 
-from common import LatencyRelay, make_tcp_server_transport, make_world
+from common import LatencyRelay, make_world, server_cores
 
 from repro import ClientOptions, InterWeaveClient, InterWeaveServer, temporal
 from repro.arch import X86_32
 from repro.obs import get_registry, write_sidecar
-from repro.transport import Dispatcher, TCPChannel
+from repro.transport import Dispatcher, TCPChannel, TCPServerTransport
 from repro.types import INT
 from repro.wire.codec import Reader, Writer
 from repro.wire.messages import (
@@ -134,7 +135,7 @@ def inproc():
 @pytest.fixture(scope="module")
 def tcp():
     server = InterWeaveServer("bench")
-    transport = make_tcp_server_transport(server)
+    transport = TCPServerTransport(server)
 
     def connector(server_name, client_id):
         return TCPChannel("127.0.0.1", transport.port, client_id)
@@ -259,7 +260,7 @@ def _drive(channel, pairs, duration: float, serial: bool = False) -> dict:
 
 def run_pipelining_comparison(duration: float = DURATION) -> dict:
     server = InterWeaveServer("bench")
-    transport = make_tcp_server_transport(server)
+    transport = TCPServerTransport(server)
     relay = LatencyRelay("127.0.0.1", transport.port, delay=LINK_DELAY)
     try:
         # segment setup goes straight to the server — only the measured
@@ -329,7 +330,7 @@ class _Echo(Dispatcher):
 
 def _echo_server_main(core: str) -> None:
     """Child process: serve echoes on ``core`` until stdin closes."""
-    transport = make_tcp_server_transport(_Echo(), core)
+    transport = server_cores()[core](_Echo())
     print(transport.port, flush=True)
     sys.stdin.read()
     transport.close()
@@ -338,7 +339,7 @@ def _echo_server_main(core: str) -> None:
 def run_serial_rpc() -> dict:
     """p50 / p90 of one echo round trip per core and payload size."""
     results: dict = {}
-    for core in ("threads", "asyncio"):
+    for core in server_cores():
         child = subprocess.Popen(
             [sys.executable, os.path.abspath(__file__), "--echo-server", core],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
@@ -606,10 +607,10 @@ def test_pipelining_speedup():
 
 
 def test_serial_rpc_is_recorded():
-    """Both cores answer the bare echo at both payload sizes (the numbers
+    """The core answers the bare echo at both payload sizes (the numbers
     are compared across commits, not against a fixed bar)."""
     serial_rpc = _results()["serial_rpc"]
-    for core in ("threads", "asyncio"):
+    for core in server_cores():
         for label, _size, count in SERIAL_RPC_POINTS:
             point = serial_rpc[core][label]
             assert point["samples"] == count
@@ -632,7 +633,7 @@ def test_codec_messages_schema_walk_is_cheap():
 
 
 def _print_serial_rpc(title: str, point: dict) -> None:
-    for core in ("threads", "asyncio"):
+    for core in sorted(set(point) - {"baseline", "label"}):
         print(f"serial rpc [{title}] {core:>8s}: " + ", ".join(
             f"{label} p50 {point[core][label]['p50_us']:.0f} / "
             f"p90 {point[core][label]['p90_us']:.0f} us"
@@ -642,7 +643,7 @@ def _print_serial_rpc(title: str, point: dict) -> None:
 def main() -> None:
     if sys.argv[1:2] == ["--echo-server"]:
         return _echo_server_main(sys.argv[2])
-    if sys.argv[1:2] == ["--serial-rpc-baseline"]:
+    if sys.argv[1:2] == ["--baseline"]:
         return _print_serial_rpc(
             sys.argv[2], record_serial_rpc_baseline(sys.argv[2]))
     results = _results()

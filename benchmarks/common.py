@@ -40,20 +40,20 @@ from repro.types import (
 #: Default working set per workload (bytes of local data).
 DATA_BYTES = int(os.environ.get("REPRO_BENCH_BYTES", str(256 * 1024)))
 
-#: Server I/O backend for the TCP benchmarks ("threads" or "asyncio").
-#: The acceptance assertions hold for either, so CI can run the suite
-#: against the asyncio core by exporting REPRO_BENCH_TCP_BACKEND=asyncio.
-TCP_BACKEND = os.environ.get("REPRO_BENCH_TCP_BACKEND", "threads")
 
+def server_cores() -> dict:
+    """The TCP server cores the importable ``repro`` carries, by name.
 
-def make_tcp_server_transport(dispatcher, backend: str = None, **kwargs):
-    """Build a TCP server transport on the selected I/O backend."""
-    from repro.transport import AsyncTCPServerTransport, TCPServerTransport
+    This tree has one, ``epoll``.  Run against an older ``src/`` (a
+    ``--baseline`` measurement), the benchmarks price the two cores that
+    tree carried instead, ``threads`` and ``asyncio``.
+    """
+    import repro.transport as transport
 
-    backend = TCP_BACKEND if backend is None else backend
-    cls = {"threads": TCPServerTransport,
-           "asyncio": AsyncTCPServerTransport}[backend]
-    return cls(dispatcher, **kwargs)
+    older = getattr(transport, "AsyncTCPServerTransport", None)
+    if older is None:
+        return {"epoll": transport.TCPServerTransport}
+    return {"threads": transport.TCPServerTransport, "asyncio": older}
 
 
 class LatencyRelay:

@@ -84,7 +84,6 @@ from repro.proxy import CachingProxy
 from repro.replication import ReplicationSender
 from repro.server import InterWeaveServer, WriteAheadLog
 from repro.transport import (
-    AsyncTCPServerTransport,
     FaultInjectingChannel,
     FaultPlan,
     InProcHub,
@@ -102,7 +101,6 @@ from repro.util.clock import VirtualClock, WallClock
 __version__ = "1.0.0"
 
 __all__ = [
-    "AsyncTCPServerTransport",
     "CachingProxy",
     "ClientOptions",
     "ClusterCoordinator",

@@ -29,7 +29,8 @@ import threading
 from repro.cluster import ClusterCoordinator, SegmentDirectory
 from repro.obs.metrics import MetricsRegistry
 from repro.server import InterWeaveServer
-from repro.tools.common import add_io_arguments, make_server_transport, run_service
+from repro.tools.common import (add_io_arguments, gateway_note,
+                                make_server_transport, run_service)
 from repro.transport import MuxConnectionPool, RetryPolicy
 
 
@@ -65,8 +66,8 @@ def serve(args, ready_event: "threading.Event" = None,
         server = InterWeaveServer(
             name, metrics=MetricsRegistry(),
             diff_cache_bytes=args.diff_cache_mb * 1024 * 1024)
-        # origins inherit the --io backend; the gateway (if any) mounts
-        # on the directory below, the one address clients already know
+        # the gateway (if any) mounts on the directory below, the one
+        # address clients already know
         transport = make_server_transport(server, args, host=args.host,
                                           port=0, gateway=False)
         transports.append(transport)
@@ -94,20 +95,14 @@ def serve(args, ready_event: "threading.Event" = None,
         coordinator.close()
         pool.close()
 
-    gateway = ""
-    if getattr(directory_transport, "gateway_port", None) is not None:
-        gateway = (f"; gateway at http://{directory_transport.gateway_host}:"
-                   f"{directory_transport.gateway_port}")
     return run_service(
-        f"[repro-cluster] directory on "
-        f"{directory_transport.host}:{directory_transport.port} "
-        f"[{args.io}]{gateway}; "
+        f"[repro-cluster] directory on {directory_transport.host}:"
+        f"{directory_transport.port}{gateway_note(directory_transport, '; ')}; "
         f"{args.origins} origin(s): {listing}",
         ready_event, stop_event,
         ready_attrs={"ready_port": directory_transport.port,
                      "ready_ports": ports,
-                     "ready_gateway_port": getattr(directory_transport,
-                                                   "gateway_port", None)},
+                     "ready_gateway_port": directory_transport.gateway_port},
         cleanup=cleanup)
 
 

@@ -17,48 +17,36 @@ from typing import Callable, Optional
 
 
 def add_io_arguments(parser: "argparse.ArgumentParser") -> None:
-    """Add the server I/O backend flags shared by every listening tool.
-
-    ``--io threads`` (default) is the thread-per-connection transport;
-    ``--io asyncio`` runs every connection on one event loop and can
-    additionally mount the HTTP/1.1 JSON gateway with ``--gateway-port``
-    (see docs/GATEWAY.md).
-    """
-    parser.add_argument("--io", choices=("threads", "asyncio"),
-                        default="threads",
-                        help="server I/O backend: 'threads' = two threads "
-                             "per connection taking turns to read and answer; "
-                             "'asyncio' = one event loop for every "
-                             "connection (10k+ connections)")
+    """Add ``--gateway-port``, shared by every listening tool (see
+    docs/GATEWAY.md)."""
     parser.add_argument("--gateway-port", type=int, default=None,
                         metavar="PORT",
-                        help="with --io asyncio: also serve the HTTP/1.1 "
-                             "JSON gateway (GET /segments/{name}, "
-                             "GET /stats) on this port (0 = pick a free "
-                             "one)")
+                        help="also serve the HTTP/1.1 JSON gateway "
+                             "(GET /segments/{name}, GET /stats) on this "
+                             "port (0 = pick a free one)")
 
 
 def make_server_transport(dispatcher, args, *, host=None, port=None,
                           gateway: bool = True, **kwargs):
-    """Build the server transport selected by ``--io``.
-
-    ``host``/``port`` default to ``args.host``/``args.port`` so single
-    -listener tools need no arguments; multi-listener tools (cluster)
-    pass them explicitly and set ``gateway=False`` for the listeners
-    that should not mount the HTTP gateway.
-    """
-    from repro.transport import AsyncTCPServerTransport, TCPServerTransport
+    """Build the :class:`~repro.transport.TCPServerTransport` a listening
+    tool serves on.  ``host``/``port`` default to ``args.host``/
+    ``args.port``; multi-listener tools (cluster) pass them explicitly
+    and set ``gateway=False`` where ``--gateway-port`` does not mount."""
+    from repro.transport import TCPServerTransport
 
     host = args.host if host is None else host
     port = args.port if port is None else port
-    io = getattr(args, "io", "threads")
     gateway_port = getattr(args, "gateway_port", None) if gateway else None
-    if io == "asyncio":
-        return AsyncTCPServerTransport(dispatcher, host=host, port=port,
-                                       gateway_port=gateway_port, **kwargs)
-    if gateway_port is not None:
-        raise SystemExit("--gateway-port requires --io asyncio")
-    return TCPServerTransport(dispatcher, host=host, port=port, **kwargs)
+    return TCPServerTransport(dispatcher, host=host, port=port,
+                              gateway_port=gateway_port, **kwargs)
+
+
+def gateway_note(transport, lead: str = ", ") -> str:
+    """The banner's mention of the HTTP gateway, or "" without one."""
+    if transport.gateway_port is None:
+        return ""
+    return (f"{lead}gateway at http://{transport.gateway_host}:"
+            f"{transport.gateway_port}")
 
 
 def run_service(banner: str,

@@ -30,7 +30,8 @@ import threading
 
 from repro.cluster import DirectoryResolver
 from repro.proxy import CachingProxy
-from repro.tools.common import add_io_arguments, make_server_transport, run_service
+from repro.tools.common import (add_io_arguments, gateway_note,
+                                make_server_transport, run_service)
 from repro.transport import MuxConnectionPool, RetryPolicy
 
 
@@ -108,18 +109,13 @@ def serve(args, ready_event: "threading.Event" = None,
             resolver.close()
         pool.close()
 
-    gateway = ""
-    if getattr(transport, "gateway_port", None) is not None:
-        gateway = (f", gateway at http://{transport.gateway_host}:"
-                   f"{transport.gateway_port}")
     return run_service(
         f"[repro-proxy] {args.name!r} listening on "
-        f"{transport.host}:{transport.port} [{args.io}]{gateway}, origin at "
+        f"{transport.host}:{transport.port}{gateway_note(transport)}, origin at "
         f"{args.origin_host}:{args.origin_port}",
         ready_event, stop_event,
         ready_attrs={"ready_port": transport.port,
-                     "ready_gateway_port": getattr(transport, "gateway_port",
-                                                   None)},
+                     "ready_gateway_port": transport.gateway_port},
         cleanup=cleanup)
 
 

@@ -5,13 +5,15 @@ Usage::
     python -m repro.tools.server_main [--host H] [--port P]
         [--checkpoint-dir DIR] [--checkpoint-every N] [--restore]
         [--wal-dir DIR] [--no-wal-fsync] [--role primary|backup]
+        [--quorum-ack] [--gateway-port P]
 
-Runs an :class:`~repro.server.InterWeaveServer` behind a
-:class:`~repro.transport.TCPServerTransport`.  With ``--restore``, the
-server recovers its persistent segments before serving: checkpoints from
-``--checkpoint-dir``, then the diff write-ahead log from ``--wal-dir``
-replayed on top (torn tails truncated), so a SIGKILL'd server resumes
-with every committed version.  ``--role backup`` starts the server as a
+Runs an :class:`~repro.server.InterWeaveServer` behind the server core,
+:class:`~repro.transport.TCPServerTransport` (Linux: one epoll, no thread
+per connection; ``--gateway-port`` adds the HTTP/1.1 gateway).  With
+``--restore``, the server recovers its persistent segments before
+serving: checkpoints from ``--checkpoint-dir``, then the diff write-ahead
+log from ``--wal-dir`` replayed on top (torn tails truncated), so a
+SIGKILL'd server resumes with every committed version.  ``--role backup`` starts the server as a
 replication target: it only accepts the ReplicateAppend/ReplicateCatchup
 stream (and stats) until a coordinator promotes it.  Clients connect
 with :class:`~repro.transport.TCPChannel`; push notifications are
@@ -26,7 +28,8 @@ import sys
 import threading
 
 from repro.server import InterWeaveServer
-from repro.tools.common import add_io_arguments, make_server_transport, run_service
+from repro.tools.common import (add_io_arguments, gateway_note,
+                                make_server_transport, run_service)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,19 +104,14 @@ def serve(args, ready_event: "threading.Event" = None,
             print("[repro-server] final checkpoints written", flush=True)
         server.close()
 
-    gateway = ""
-    if getattr(transport, "gateway_port", None) is not None:
-        gateway = (f", gateway at http://{transport.gateway_host}:"
-                   f"{transport.gateway_port}")
     return run_service(
         f"[repro-server] {args.name!r} ({args.role}) listening on "
-        f"{transport.host}:{transport.port} [{args.io}]{gateway} "
+        f"{transport.host}:{transport.port}{gateway_note(transport)} "
         f"({restored} segment(s) restored, {replayed} WAL record(s) "
         f"replayed)",
         ready_event, stop_event,
         ready_attrs={"ready_port": transport.port,
-                     "ready_gateway_port": getattr(transport, "gateway_port",
-                                                   None)},
+                     "ready_gateway_port": transport.gateway_port},
         cleanup=cleanup)
 
 

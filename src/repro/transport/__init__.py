@@ -13,7 +13,6 @@ from repro.transport.base import (
     ReplyFuture,
     TransportStats,
 )
-from repro.transport.aio import AsyncTCPServerTransport
 from repro.transport.fault import FaultInjectingChannel, FaultPlan
 from repro.transport.inproc import InProcChannel, InProcHub
 from repro.transport.mux import MuxConnectionPool, TCPChannel
@@ -21,7 +20,6 @@ from repro.transport.retry import RetryingChannel, RetryPolicy, is_retryable
 from repro.transport.tcp import TCPServerTransport
 
 __all__ = [
-    "AsyncTCPServerTransport",
     "Channel",
     "Dispatcher",
     "FaultInjectingChannel",

@@ -194,13 +194,13 @@ class Dispatcher:
     """Server-side interface: handle one encoded request, return the reply.
 
     Contract: ``dispatch`` must be thread-safe and must always return an
-    encoded reply — transports call it concurrently (the TCP server runs
-    one thread per connection, and several in-process clients may share a
-    hub from different threads), and a raised exception would tear down
-    the calling connection (TCP) or leak straight into the client's
-    ``request()`` call (in-process) instead of producing a typed
-    ``ErrorReply``.  Implementations answer malformed or unprocessable
-    requests with an encoded ``ErrorReply`` rather than raising.
+    encoded reply — transports call it concurrently (the TCP server from
+    its core threads and dispatch pool, and several in-process clients
+    may share a hub from different threads), and a raised exception would
+    leak straight into the client's ``request()`` call (in-process)
+    instead of producing a typed ``ErrorReply`` (TCP answers it with one).
+    Implementations answer malformed or unprocessable requests with an
+    encoded ``ErrorReply`` rather than raising.
     """
 
     def dispatch(self, client_id: str, data: bytes) -> bytes:

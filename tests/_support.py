@@ -18,23 +18,6 @@ from repro.types import (
 
 _PRIMS = [CHAR, SHORT, INT, HYPER, FLOAT, DOUBLE]
 
-#: both TCP server backends — test suites covering the TCP surface
-#: parametrize over these so the asyncio core inherits the full matrix
-SERVER_BACKENDS = ("threads", "asyncio")
-
-
-def make_server_transport(backend, dispatcher, **kwargs):
-    """Build the TCP server transport named by ``backend``.
-
-    Both classes share one wire protocol and constructor surface, so a
-    test written against one runs unchanged against the other.
-    """
-    from repro.transport import AsyncTCPServerTransport, TCPServerTransport
-
-    cls = {"threads": TCPServerTransport,
-           "asyncio": AsyncTCPServerTransport}[backend]
-    return cls(dispatcher, **kwargs)
-
 _counter = [0]
 
 

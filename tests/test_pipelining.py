@@ -12,8 +12,6 @@ import time
 
 import pytest
 
-from tests._support import SERVER_BACKENDS, make_server_transport
-
 from repro import (
     ClientOptions,
     InterWeaveClient,
@@ -32,6 +30,7 @@ from repro.transport import (
     MuxConnectionPool,
     RetryPolicy,
     TCPChannel,
+    TCPServerTransport,
 )
 from repro.transport.base import Dispatcher, ReplyCache
 from repro.types import INT
@@ -73,15 +72,9 @@ class CountingServer(Dispatcher):
         return b"echo:" + data
 
 
-@pytest.fixture(params=SERVER_BACKENDS)
-def backend(request):
-    """Run each transport-facing test against both server backends."""
-    return request.param
-
-
 @pytest.fixture
-def echo_transport(backend):
-    transport = make_server_transport(backend, EchoServer())
+def echo_transport():
+    transport = TCPServerTransport(EchoServer())
     yield transport
     transport.close()
 
@@ -96,10 +89,10 @@ def _mux(transport, client_id="m", timeout=2.0, retry=None):
 # ---------------------------------------------------------------------------
 
 class TestOutOfOrderDelivery:
-    def test_fast_reply_overtakes_slow_request(self, backend):
+    def test_fast_reply_overtakes_slow_request(self):
         dispatcher = SlowFastServer(delay=0.1)
         dispatcher.release.clear()  # hold the slow dispatch open
-        transport = make_server_transport(backend, dispatcher)
+        transport = TCPServerTransport(dispatcher)
         channel = _mux(transport)
         try:
             slow = channel.submit(b"slow:a")
@@ -156,10 +149,10 @@ class TestOutOfOrderDelivery:
 # ---------------------------------------------------------------------------
 
 class TestFailureIsolation:
-    def test_timed_out_request_fails_alone(self, backend):
+    def test_timed_out_request_fails_alone(self):
         dispatcher = SlowFastServer(delay=0.0)
         dispatcher.release.clear()
-        transport = make_server_transport(backend, dispatcher)
+        transport = TCPServerTransport(dispatcher)
         channel = _mux(transport, timeout=0.3)
         try:
             results = {}
@@ -206,10 +199,10 @@ class TestFailureIsolation:
             clean.close()
             pool.close()
 
-    def test_orphan_reply_is_counted_not_delivered(self, backend):
+    def test_orphan_reply_is_counted_not_delivered(self):
         dispatcher = SlowFastServer(delay=0.0)
         dispatcher.release.clear()
-        transport = make_server_transport(backend, dispatcher)
+        transport = TCPServerTransport(dispatcher)
         channel = _mux(transport, timeout=0.2)
         try:
             with pytest.raises(TransportTimeout):
@@ -231,9 +224,9 @@ class TestFailureIsolation:
 # ---------------------------------------------------------------------------
 
 class TestPipelinedRetryDedup:
-    def test_reconnect_resends_window_and_dedups(self, backend):
+    def test_reconnect_resends_window_and_dedups(self):
         dispatcher = CountingServer(delay=0.25)
-        transport = make_server_transport(backend, dispatcher)
+        transport = TCPServerTransport(dispatcher)
         channel = _mux(transport, timeout=5.0,
                        retry=RetryPolicy(max_attempts=8, base_delay=0.05,
                                          max_delay=0.3, seed=2003))
@@ -261,10 +254,9 @@ class TestPipelinedRetryDedup:
             channel.close()
             transport.close()
 
-    def test_server_restart_mid_window_dedups_through_shared_cache(
-            self, backend):
+    def test_server_restart_mid_window_dedups_through_shared_cache(self):
         dispatcher = CountingServer(delay=0.15)
-        transports = [make_server_transport(backend, dispatcher)]
+        transports = [TCPServerTransport(dispatcher)]
         port = transports[0].port
         channel = _mux(transports[0], timeout=5.0,
                        retry=RetryPolicy(max_attempts=10, base_delay=0.05,
@@ -282,8 +274,8 @@ class TestPipelinedRetryDedup:
             time.sleep(0.08)  # mid-window, dispatches in progress
             old = transports[-1]
             old.close()
-            transports.append(make_server_transport(
-                backend, dispatcher, port=port, reply_cache=old.reply_cache))
+            transports.append(TCPServerTransport(
+                dispatcher, port=port, reply_cache=old.reply_cache))
             for thread in threads:
                 thread.join()
             for payload in payloads:
@@ -295,8 +287,8 @@ class TestPipelinedRetryDedup:
             channel.close()
             transports[-1].close()
 
-    def test_retry_exhaustion_when_server_stays_down(self, backend):
-        transport = make_server_transport(backend, EchoServer())
+    def test_retry_exhaustion_when_server_stays_down(self):
+        transport = TCPServerTransport(EchoServer())
         channel = _mux(transport, timeout=1.0,
                        retry=RetryPolicy(max_attempts=3, base_delay=0.02,
                                          max_delay=0.05, seed=1))
@@ -348,9 +340,9 @@ class TestPipelinedRetryDedup:
 # ---------------------------------------------------------------------------
 
 class TestClientOverSharedConnection:
-    def test_two_clients_share_one_socket_and_stay_coherent(self, backend):
+    def test_two_clients_share_one_socket_and_stay_coherent(self):
         server = InterWeaveServer("s")
-        transport = make_server_transport(backend, server)
+        transport = TCPServerTransport(server)
         pool = MuxConnectionPool({"s": ("127.0.0.1", transport.port)},
                                  timeout=5.0,
                                  retry=RetryPolicy(max_attempts=4, seed=3))
@@ -383,11 +375,11 @@ class TestClientOverSharedConnection:
             pool.close()
             transport.close()
 
-    def test_lease_expiry_holds_over_multiplexed_channel(self, backend):
+    def test_lease_expiry_holds_over_multiplexed_channel(self):
         # a dead virtual channel's write lease must lapse and be
         # reclaimed exactly as with the serial transport
         server = InterWeaveServer("s", lease_duration=0.4)
-        transport = make_server_transport(backend, server)
+        transport = TCPServerTransport(server)
         pool = MuxConnectionPool({"s": ("127.0.0.1", transport.port)},
                                  timeout=5.0)
         dead = InterWeaveClient(

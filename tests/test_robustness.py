@@ -10,7 +10,6 @@ import time
 
 import pytest
 
-from tests._support import SERVER_BACKENDS, make_server_transport
 
 from repro import (
     ClientOptions,
@@ -37,6 +36,7 @@ from repro.transport import (
     RetryingChannel,
     RetryPolicy,
     TCPChannel,
+    TCPServerTransport,
     is_retryable,
 )
 from repro.obs.metrics import get_registry
@@ -159,12 +159,11 @@ class TestFaultInjection:
         plan = dict(drop_request=0.3, drop_reply=0.1, disconnect=0.1)
         assert run(FaultPlan(seed=SEED, **plan)) == run(FaultPlan(seed=SEED, **plan))
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_reconnect_listener_reaches_inner_channel(self, backend):
+    def test_reconnect_listener_reaches_inner_channel(self):
         """The client installs its poller-reset callback on the outermost
         wrapper; the inner TCP channel is what actually reconnects, so
         the wrapper must delegate the listener, not shadow it."""
-        transport = make_server_transport(backend, EchoServer())
+        transport = TCPServerTransport(EchoServer())
         inner = TCPChannel("127.0.0.1", transport.port, "c", timeout=2.0)
         channel = FaultInjectingChannel(inner, FaultPlan(seed=SEED))
         fired = []
@@ -253,13 +252,12 @@ class TestRetryingChannel:
             channel.request(b"x")
         assert len(fired) == channel.reconnects > 0
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_reopen_connect_failure_is_retried(self, backend):
+    def test_reopen_connect_failure_is_retried(self):
         """While the server is down, the factory's own connect fails too;
         each refusal must consume a retry and back off — the restart is
         ridden out inside request(), not surfaced to the caller."""
         dispatcher = EchoServer()
-        transport = make_server_transport(backend, dispatcher)
+        transport = TCPServerTransport(dispatcher)
         port = transport.port
         policy = RetryPolicy(max_attempts=30, base_delay=0.05, max_delay=0.1,
                              jitter=0.0)
@@ -273,8 +271,8 @@ class TestRetryingChannel:
 
             def restart():
                 time.sleep(0.3)
-                restarted.append(make_server_transport(
-                    backend, dispatcher, port=port, reply_cache=cache))
+                restarted.append(TCPServerTransport(
+                    dispatcher, port=port, reply_cache=cache))
 
             thread = threading.Thread(target=restart)
             thread.start()
@@ -395,10 +393,9 @@ class TestReplyCache:
 # ---------------------------------------------------------------------------
 
 class TestTCPRetry:
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_channel_reconnects_after_server_restart(self, backend):
+    def test_channel_reconnects_after_server_restart(self):
         dispatcher = EchoServer()
-        transport = make_server_transport(backend, dispatcher)
+        transport = TCPServerTransport(dispatcher)
         port = transport.port
         policy = RetryPolicy(max_attempts=10, base_delay=0.02, max_delay=0.1,
                              jitter=0.0)
@@ -406,9 +403,8 @@ class TestTCPRetry:
         try:
             assert channel.request(b"one") == b"echo:one"
             transport.close()
-            transport = make_server_transport(
-                backend, dispatcher, port=port,
-                reply_cache=transport.reply_cache)
+            transport = TCPServerTransport(dispatcher, port=port,
+                                           reply_cache=transport.reply_cache)
             assert channel.request(b"two") == b"echo:two"
             assert channel.reconnects >= 1
             assert channel.health()["reconnects"] >= 1
@@ -416,10 +412,9 @@ class TestTCPRetry:
             channel.close()
             transport.close()
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_resent_sequence_is_dispatched_once(self, backend):
+    def test_resent_sequence_is_dispatched_once(self):
         dispatcher = EchoServer()
-        transport = make_server_transport(backend, dispatcher)
+        transport = TCPServerTransport(dispatcher)
         try:
             channel = TCPChannel("127.0.0.1", transport.port, "c", timeout=2.0)
             try:
@@ -435,13 +430,12 @@ class TestTCPRetry:
         finally:
             transport.close()
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_fresh_channel_reusing_client_id_is_not_replayed(self, backend):
+    def test_fresh_channel_reusing_client_id_is_not_replayed(self):
         """repro-stats hardcodes client_id='stats-cli': a second run must
         get its own reply, not the first run's cached one — the random
         session nonce keeps the two channels' sequence spaces apart."""
         dispatcher = EchoServer()
-        transport = make_server_transport(backend, dispatcher)
+        transport = TCPServerTransport(dispatcher)
         try:
             first = TCPChannel("127.0.0.1", transport.port, "stats-cli",
                                timeout=2.0)
@@ -457,11 +451,10 @@ class TestTCPRetry:
         finally:
             transport.close()
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_close_interrupts_retry_backoff(self, backend):
+    def test_close_interrupts_retry_backoff(self):
         """close() must abort a pending backoff at once, not wait out the
         schedule."""
-        transport = make_server_transport(backend, EchoServer())
+        transport = TCPServerTransport(EchoServer())
         policy = RetryPolicy(max_attempts=50, base_delay=30.0, jitter=0.0)
         channel = TCPChannel("127.0.0.1", transport.port, "c", timeout=0.5,
                              retry=policy)
@@ -474,7 +467,7 @@ class TestTCPRetry:
     def test_close_interrupts_retry_backoff_on_a_pool_channel(self):
         """The same on a channel over a shared core: closing the channel
         (not the pool) ends its backoff."""
-        transport = make_server_transport("threads", EchoServer())
+        transport = TCPServerTransport(EchoServer())
         pool = MuxConnectionPool(
             {"s": ("127.0.0.1", transport.port)}, timeout=0.5,
             retry=RetryPolicy(max_attempts=50, base_delay=30.0, jitter=0.0))
@@ -485,9 +478,8 @@ class TestTCPRetry:
             pool.close()
             transport.close()
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_break_connection_recovers_without_policy(self, backend):
-        transport = make_server_transport(backend, EchoServer())
+    def test_break_connection_recovers_without_policy(self):
+        transport = TCPServerTransport(EchoServer())
         try:
             channel = TCPChannel("127.0.0.1", transport.port, "c", timeout=2.0)
             try:

@@ -9,11 +9,8 @@ import time
 
 import pytest
 
-from tests._support import SERVER_BACKENDS, make_server_transport
-
 from repro.errors import TransportError, TransportTimeout
 from repro.transport import (
-    AsyncTCPServerTransport,
     Dispatcher,
     InProcHub,
     MuxConnectionPool,
@@ -130,10 +127,10 @@ class TestNetworkModel:
 
 
 class TestTCP:
-    @pytest.fixture(params=SERVER_BACKENDS)
-    def server(self, request):
+    @pytest.fixture
+    def server(self):
         dispatcher = EchoServer()
-        transport = make_server_transport(request.param, dispatcher)
+        transport = TCPServerTransport(dispatcher)
         yield transport, dispatcher
         transport.close()
 
@@ -194,14 +191,13 @@ class TestTCP:
         finally:
             channel.close()
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_slow_reply_raises_typed_timeout(self, backend):
+    def test_slow_reply_raises_typed_timeout(self):
         class StalledServer(Dispatcher):
             def dispatch(self, client_id, data):
                 time.sleep(2.0)
                 return data
 
-        transport = make_server_transport(backend, StalledServer())
+        transport = TCPServerTransport(StalledServer())
         try:
             channel = TCPChannel("127.0.0.1", transport.port, "c", timeout=0.2)
             try:
@@ -253,10 +249,10 @@ def _raw_exchange(sock, frame, expect=None):
 class TestTCPFaultPaths:
     """The server must answer bad input with ErrorReply, not die."""
 
-    @pytest.fixture(params=SERVER_BACKENDS)
-    def server(self, request):
+    @pytest.fixture
+    def server(self):
         dispatcher = EchoServer()
-        transport = make_server_transport(request.param, dispatcher)
+        transport = TCPServerTransport(dispatcher)
         yield transport, dispatcher
         transport.close()
 
@@ -290,8 +286,7 @@ class TestTCPFaultPaths:
         finally:
             sock.close()
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_dispatcher_exception_answered_and_connection_survives(self, backend):
+    def test_dispatcher_exception_answered_and_connection_survives(self):
         class Flaky(Dispatcher):
             def __init__(self):
                 self.calls = 0
@@ -303,7 +298,7 @@ class TestTCPFaultPaths:
                 return b"ok:" + data
 
         dispatcher = Flaky()
-        transport = make_server_transport(backend, dispatcher)
+        transport = TCPServerTransport(dispatcher)
         channel = TCPChannel("127.0.0.1", transport.port, "c")
         try:
             reply = decode_message(channel.request(b"boom"))
@@ -316,8 +311,7 @@ class TestTCPFaultPaths:
             channel.close()
             transport.close()
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_timed_out_reply_is_never_delivered(self, backend):
+    def test_timed_out_reply_is_never_delivered(self):
         """After a timeout the reply is still in flight; the socket is
         kept, and the late reply, matched by sequence number, is counted
         as an orphan instead of answering request N+1."""
@@ -332,7 +326,7 @@ class TestTCPFaultPaths:
                     time.sleep(1.0)
                 return b"echo:" + data
 
-        transport = make_server_transport(backend, SlowFirst())
+        transport = TCPServerTransport(SlowFirst())
         channel = TCPChannel("127.0.0.1", transport.port, "c", timeout=0.6)
         try:
             with pytest.raises(TransportTimeout):
@@ -346,21 +340,18 @@ class TestTCPFaultPaths:
             channel.close()
             transport.close()
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_close_reaps_threads_and_closes_connections(self, backend):
+    def test_close_reaps_threads_and_closes_connections(self):
         dispatcher = EchoServer()
-        transport = make_server_transport(backend, dispatcher)
+        transport = TCPServerTransport(dispatcher)
         channels = [TCPChannel("127.0.0.1", transport.port, f"c{i}")
                     for i in range(4)]
         try:
             for i, channel in enumerate(channels):
                 channel.request(f"m{i}".encode())
             transport.close()
-            if backend == "threads":
-                assert transport._threads == []
-                assert transport._conns == set()
-            else:
-                assert transport.connection_count() == 0
+            assert transport._threads == set()
+            assert transport._conns == {}
+            assert transport._m_open.value == 0
             # live clients see a typed disconnect, not a hang
             with pytest.raises(TransportError):
                 channels[0].request(b"after")
@@ -369,8 +360,8 @@ class TestTCPFaultPaths:
                 channel.close()
 
     def test_connection_close_reaps_serve_thread(self):
-        """A burst of connections that then close must not pin thread
-        records until the next accept (reap-on-close, not on-accept)."""
+        """A burst of connections that then close must leave no record
+        and no thread behind (reap-on-close, not on-accept)."""
         transport = TCPServerTransport(EchoServer())
         try:
             channels = [TCPChannel("127.0.0.1", transport.port, f"c{i}")
@@ -379,30 +370,25 @@ class TestTCPFaultPaths:
                 channel.request(f"m{i}".encode())
             for channel in channels:
                 channel.close()
-            deadline = time.time() + 5.0
-            while transport._threads:
-                assert time.time() < deadline, (
-                    f"{len(transport._threads)} serve-thread records "
-                    "still pinned after every connection closed")
-                time.sleep(0.01)
+            _wait_for(lambda: not transport._conns,
+                      "connection records to be reaped")
+            assert transport._m_open.value == 0
+            _wait_for(lambda: len(transport._threads) <= 2,
+                      "idle core threads to retire")
         finally:
             transport.close()
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    @pytest.mark.parametrize("restart_backend", SERVER_BACKENDS)
-    def test_port_is_released_synchronously_on_close(self, backend,
-                                                     restart_backend):
+    def test_port_is_released_synchronously_on_close(self):
         dispatcher = EchoServer()
-        first = make_server_transport(backend, dispatcher)
+        first = TCPServerTransport(dispatcher)
         port = first.port
         channel = TCPChannel("127.0.0.1", port, "c")
         channel.request(b"x")
         first.close()
         # a restarted server must be able to rebind at once, even with
-        # the old client's half-closed socket still lingering (and the
-        # backends must be interchangeable across the restart)
-        second = make_server_transport(restart_backend, dispatcher, port=port,
-                                       reply_cache=first.reply_cache)
+        # the old client's half-closed socket still lingering
+        second = TCPServerTransport(dispatcher, port=port,
+                                    reply_cache=first.reply_cache)
         try:
             channel.break_connection()
             assert channel.request(b"y") == b"echo:y"
@@ -455,9 +441,10 @@ def _threads_named(prefix):
 
 
 class TestRunToCompletion:
-    """The threaded core's request path: the thread that read a frame
-    answers it, a busy connection falls back to the pool, replies still
-    coalesce, and no failure leaves a thread (or a wedged worker) behind."""
+    """The server core's request path: the thread that read a frame
+    answers it, frames behind a busy dispatch are answered on other
+    threads, replies still coalesce, and no failure leaves a thread (or
+    a wedged worker) behind."""
 
     def test_serial_client_never_leaves_its_connection_threads(self):
         dispatcher = ThreadRecorder()
@@ -471,11 +458,12 @@ class TestRunToCompletion:
             transport.close()
         names = set(dispatcher.threads.values())
         assert len(dispatcher.threads) == 200
-        assert all(name.startswith("repro-conn-") for name in names), names
-        # the two threads of the one connection, nothing else
+        # answered by the core threads that read them: no pool hand-off,
+        # and no thread started for a client that never waits on itself
+        assert all(name.startswith("repro-core-") for name in names), names
         assert len(names) <= 2
 
-    def test_frames_behind_a_slow_dispatch_go_to_the_pool(self):
+    def test_frames_behind_a_slow_dispatch_run_on_other_threads(self):
         dispatcher = ThreadRecorder()
         transport = TCPServerTransport(dispatcher)
         channel = TCPChannel("127.0.0.1", transport.port, "m",
@@ -494,9 +482,10 @@ class TestRunToCompletion:
             dispatcher.release.set()
             channel.close()
             transport.close()
-        assert dispatcher.threads[b"slow:a"].startswith("repro-conn-")
-        assert dispatcher.threads[b"b"].startswith("repro-dispatch-")
-        assert dispatcher.threads[b"c"].startswith("repro-dispatch-")
+        held = dispatcher.threads[b"slow:a"]
+        assert held.startswith("repro-core-")
+        assert dispatcher.threads[b"b"] != held
+        assert dispatcher.threads[b"c"] != held
 
     def test_max_inflight_still_bounds_frames_read(self):
         dispatcher = ThreadRecorder()
@@ -507,7 +496,7 @@ class TestRunToCompletion:
             sock.sendall(b"".join(_frame(i + 1, b"slow:%d" % i)
                                   for i in range(6)))
             _wait_for(lambda: len(dispatcher.counts) == 3, "three dispatches")
-            time.sleep(0.1)  # a fourth permit would show up by now
+            time.sleep(0.1)  # a fourth frame would have dispatched by now
             assert len(dispatcher.counts) == 3
             dispatcher.release.set()
             replies = dict(_read_reply(sock)[1:] for _ in range(6))
@@ -527,9 +516,9 @@ class TestRunToCompletion:
 
         real_send = tcp_module._sendmsg_all
 
-        def slow_send(sock, buffers):
+        def slow_send(sock, buffers, *writable):
             time.sleep(0.02)  # a send "on the wire": the rest pile up
-            real_send(sock, buffers)
+            real_send(sock, buffers, *writable)
 
         transport = TCPServerTransport(Together(), dispatch_workers=8)
         channel = TCPChannel("127.0.0.1", transport.port, "m",
@@ -570,9 +559,10 @@ class TestRunToCompletion:
                 assert channel.request(b"x") == b"echo:x"
                 channel.close()
             _wait_for(lambda: threading.active_count() <= baseline,
-                      "connection threads to exit")
-            assert transport._threads == []
-            assert transport._conns == set()
+                      "extra core threads to retire")
+            # the core reads each client's end of stream on its own time
+            _wait_for(lambda: not transport._conns,
+                      "connection records to be reaped")
         finally:
             transport.close()
 
@@ -581,10 +571,10 @@ class TestRunToCompletion:
         transport = TCPServerTransport(dispatcher, dispatch_workers=2)
         real_send = tcp_module._sendmsg_all
 
-        def poisoned_send(sock, buffers):
+        def poisoned_send(sock, buffers, *writable):
             if any(b"poison" in bytes(b) for b in buffers):
                 raise OSError("injected send failure")
-            real_send(sock, buffers)
+            real_send(sock, buffers, *writable)
 
         monkeypatch.setattr(tcp_module, "_sendmsg_all", poisoned_send)
         bystander = TCPChannel("127.0.0.1", transport.port, "bystander")
@@ -596,19 +586,18 @@ class TestRunToCompletion:
             gone.sendall(_frame(1, b"slow:gone"))
             assert dispatcher.entered.wait(timeout=5.0)
             gone.close()
-            # a reply whose sendmsg raises, on a pool worker: the inline
-            # slot of this connection is taken by the held-open request
+            # a reply whose sendmsg raises while another request of the
+            # same connection is still held open
             bad = socket.create_connection(("127.0.0.1", transport.port),
                                            timeout=5.0)
             bad.sendall(_frame(1, b"slow:bad") + _frame(2, b"poison"))
             _wait_for(lambda: b"poison" in dispatcher.threads, "the poison")
-            assert dispatcher.threads[b"poison"].startswith("repro-dispatch-")
             # the failed send drops that link: its peer sees end of stream
             assert bad.recv(4) == b""
             bad.close()
             dispatcher.release.set()
             _wait_for(lambda: threading.active_count() <= baseline,
-                      "the dead connections' threads to exit")
+                      "the core threads the held dispatches added to retire")
             # nobody else noticed, and both pool workers still serve
             assert bystander.request(b"after") == b"echo:after"
             assert len(_threads_named("repro-dispatch-")) >= 2
@@ -696,9 +685,10 @@ class TestRunToCompletion:
 
 
 def _client_threads():
-    """Threads other than the threaded server core's connection threads."""
+    """Threads other than a server's: its core threads come and go with
+    its load, and a closed server's pool workers exit on their own time."""
     return {t for t in threading.enumerate()
-            if not t.name.startswith("repro-conn-")}
+            if not t.name.startswith(("repro-core-", "repro-dispatch-"))}
 
 
 def _client_fds(port):
@@ -751,30 +741,29 @@ class TestWaiterReads:
         assert reads == [threading.current_thread().name] * 200
 
     def test_building_channels_starts_no_thread(self):
-        transport = make_server_transport("asyncio", EchoServer())
+        transport = TCPServerTransport(EchoServer())
         pool = MuxConnectionPool({"s": ("127.0.0.1", transport.port)})
         try:
-            baseline = threading.active_count()
+            baseline = _client_threads()
             channels = [TCPChannel("127.0.0.1", transport.port, f"c{i}")
                         for i in range(100)]
             channels.append(pool.connect("s", "pooled"))
             assert channels[0].request(b"x") == b"echo:x"
-            assert threading.active_count() == baseline
+            assert _client_threads() == baseline
             for channel in channels:
                 channel.close()
         finally:
             pool.close()
             transport.close()
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_every_reply_reaches_its_own_waiter(self, backend):
+    def test_every_reply_reaches_its_own_waiter(self):
         class SometimesSlow(Dispatcher):
             def dispatch(self, client_id, data):
                 if data.endswith(b"0"):  # one request in ten
                     time.sleep(0.005)
                 return b"echo:" + data
 
-        transport = make_server_transport(backend, SometimesSlow())
+        transport = TCPServerTransport(SometimesSlow())
         channel = TCPChannel("127.0.0.1", transport.port, "m", timeout=10.0)
         errors = []
 
