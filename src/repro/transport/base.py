@@ -211,8 +211,8 @@ class _ReplySession:
     """One client channel's request-deduplication state.
 
     ``replies`` retains the last ``window`` dispatched replies (keyed by
-    sequence number), ``pending`` tracks dispatches currently running,
-    and ``horizon`` is the highest sequence number ever evicted from
+    sequence number), ``pending`` the dispatches running (to an Event
+    once a duplicate waits), and ``horizon`` the highest seq evicted from
     ``replies`` — anything at or below it may have been forgotten, so a
     repeat is rejected as stale rather than silently re-dispatched.
     """
@@ -222,7 +222,7 @@ class _ReplySession:
     def __init__(self):
         self.lock = threading.Lock()
         self.replies: "OrderedDict[int, bytes]" = OrderedDict()
-        self.pending: Dict[int, threading.Event] = {}
+        self.pending: Dict[int, Optional[threading.Event]] = {}
         self.horizon = 0
         self.last_seq = 0
 
@@ -261,13 +261,15 @@ class ReplyCache:
     restarted sequence would either replay a stale cached reply or be
     rejected outright.
 
-    A sequence number of 0 opts out of deduplication (used by one-shot
-    tools that never retry).  The cache is the durable half of a client
-    session: a server that restarts with a fresh cache loses exactly-once
-    semantics for retries that straddle the restart, so deployments that
-    restart transports in place should carry the cache over (see
-    ``docs/ROBUSTNESS.md``).  Clients must keep their in-flight window
-    smaller than ``window`` or retries can fall off the retention edge.
+    A sequence number of 0 opts out of deduplication: one-shot tools
+    that never retry send it, and the TCP server passes it for read-only
+    requests, whose retries simply run again (docs/PROTOCOL.md §6).  The
+    cache is the durable half of a client session: a server restarting
+    with a fresh cache loses exactly-once semantics for retries that
+    straddle the restart, so deployments that restart transports in
+    place should carry the cache over (see ``docs/ROBUSTNESS.md``).
+    Clients must keep their in-flight window smaller than ``window`` or
+    retries can fall off the retention edge.
     """
 
     def __init__(self, max_clients: int = 1024, window: int = 256):
@@ -333,7 +335,9 @@ class ReplyCache:
         FIFO task start order: a duplicate is always submitted after its
         original, so by the time the duplicate runs its original is
         either finished or running on another worker — a blocked waiter
-        therefore always has a progressing partner.
+        therefore always has a progressing partner.  The first duplicate
+        to find its original running builds the Event both share, under
+        the session lock the original pops it with, so none is lost.
         """
         if seq == 0:
             return dispatch()
@@ -344,39 +348,39 @@ class ReplyCache:
                 if cached is not None:
                     self._m_hits.inc()
                     return cached
-                racing = session.pending.get(seq)
-                if racing is None:
+                if seq not in session.pending:
                     if seq <= session.horizon:
                         raise WireFormatError(
                             f"stale sequence number {seq} from {client_id!r} "
                             f"(retention horizon {session.horizon}, newest "
                             f"seen {session.last_seq})")
-                    event = threading.Event()
-                    session.pending[seq] = event
+                    session.pending[seq] = None
                     break
-            # a retry raced its original mid-dispatch: wait for the
-            # original and replay its reply (loop re-checks the cache)
+                # a retry raced its original mid-dispatch: wait for the
+                # original and replay its reply (loop re-checks the cache)
+                racing = session.pending[seq]
+                if racing is None:
+                    racing = session.pending[seq] = threading.Event()
             racing.wait()
+        reply = None
         try:
             reply = dispatch()
-        except BaseException:
-            # a failed dispatch is not cached (the transport answers the
-            # client with an ErrorReply); a retry may re-dispatch
+            return reply
+        finally:
             with session.lock:
-                session.pending.pop(seq, None)
-            event.set()
-            raise
-        with session.lock:
-            session.pending.pop(seq, None)
-            session.replies[seq] = reply
-            if seq > session.last_seq:
-                session.last_seq = seq
-            while len(session.replies) > self._window:
-                evicted, _ = session.replies.popitem(last=False)
-                if evicted > session.horizon:
-                    session.horizon = evicted
-        event.set()
-        return reply
+                racing = session.pending.pop(seq)
+                # a failed dispatch is not cached (the transport answers
+                # the client with an ErrorReply); a retry may re-dispatch
+                if reply is not None:
+                    session.replies[seq] = reply
+                    if seq > session.last_seq:
+                        session.last_seq = seq
+                    while len(session.replies) > self._window:
+                        evicted, _ = session.replies.popitem(last=False)
+                        if evicted > session.horizon:
+                            session.horizon = evicted
+            if racing is not None:
+                racing.set()
 
     def __len__(self):
         with self._lock:

@@ -14,13 +14,14 @@ lone reply still goes out immediately (``TCP_NODELAY`` stays set).  Push
 notifications are not supported over this transport (``can_push =
 False``); clients fall back to polling, exactly the degraded mode the
 paper's adaptive protocol anticipates.  Malformed frames and dispatcher
-failures are answered with an ``ErrorReply`` and a
-:class:`~repro.transport.ReplyCache` makes re-sent requests idempotent
-(``docs/ROBUSTNESS.md``).
+failures are answered with an ``ErrorReply``, a re-sent state-changing
+request is answered from a :class:`~repro.transport.ReplyCache` and a
+read-only one runs again (``docs/ROBUSTNESS.md``).
 """
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import logging
@@ -44,6 +45,7 @@ from repro.wire.messages import (
     ErrorReply,
     GetStatsReply,
     GetStatsRequest,
+    _is_read_only,
     decode_message,
     encode_message,
 )
@@ -73,6 +75,9 @@ _CORE_IDLE_SECONDS = 1.0
 #: busy ones are blocked (an fsync, a quorum wait, an upstream forward, a
 #: peer that does not read), not taking turns at the interpreter
 _UNWATCHED_SECONDS = 0.005
+#: out of descriptors, a listener rests this long unless a connection closes
+_ACCEPT_PAUSE_SECONDS = 1.0
+_OUT_OF_DESCRIPTORS = (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM)
 #: largest HTTP request head (request line + headers) the gateway accepts
 _GATEWAY_HEAD_LIMIT = 16 * 1024
 
@@ -277,6 +282,8 @@ class TCPServerTransport:
       quorum wait or an upstream forward never leaves the sockets
       unwatched; threads that merely share the interpreter add none);
       one whose ``poll`` times out while two others wait exits.
+    - **Out of descriptors**, a listener rests until a connection closes
+      or ``_ACCEPT_PAUSE_SECONDS`` pass: its backlog spins no thread.
     - **Gateway.**  ``gateway_port`` (``0`` = ephemeral) adds a listener
       for the read-only HTTP/1.1 JSON gateway (``docs/GATEWAY.md``),
       answered on the thread that read each request.
@@ -350,6 +357,10 @@ class TCPServerTransport:
         self._served = 0
         #: frames read and not yet answered, over every connection
         self._inflight = 0
+        #: listener fd -> (retry time, connections open) while out of fds
+        self._paused: Dict[int, Tuple[float, int]] = {}
+        #: out of descriptors since the last accept (warned once)
+        self._starved = False
         self._running = True
         self._epoll = select.epoll()
         # level-triggered and never drained: once written, every poll
@@ -380,6 +391,8 @@ class TCPServerTransport:
     def _run(self) -> None:
         """A core thread: wait for one ready socket, serve it, repeat."""
         while True:
+            if self._paused:  # after each event served or poll timed out
+                self._resume_accept()
             try:
                 events = self._epoll.poll(_CORE_IDLE_SECONDS, 1)
             except (OSError, ValueError):  # the epoll closed under a straggler
@@ -439,8 +452,17 @@ class TCPServerTransport:
         while True:
             try:
                 sock, _addr = listener.accept()
-            except OSError:  # drained, closed, or out of descriptors
-                break
+            except OSError as exc:  # drained, closed, or out of descriptors
+                if exc.errno not in _OUT_OF_DESCRIPTORS:
+                    break
+                self._paused[listener.fileno()] = (
+                    time.monotonic() + _ACCEPT_PAUSE_SECONDS, len(self._conns))
+                if not self._starved:
+                    self._starved = True
+                    _log.warning("out of file descriptors: not accepting for "
+                                 "up to %gs", _ACCEPT_PAUSE_SECONDS)
+                return
+            self._starved = False
             sock.setblocking(False)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             # on accepted sockets too, or their TIME_WAIT remnants keep a
@@ -456,6 +478,15 @@ class TCPServerTransport:
             self._m_connections.inc()
             self._arm(conn.fd, first=True)
         self._arm(listener.fileno())
+
+    def _resume_accept(self) -> None:
+        """Re-arm each listener paused for want of descriptors once a
+        connection closed or its pause ran out (one thread pops each)."""
+        now, still_open = time.monotonic(), len(self._conns)
+        for fd, (until, opened) in list(self._paused.items()):
+            if ((now >= until or still_open < opened)
+                    and self._paused.pop(fd, None)):
+                self._arm(fd)
 
     # -- the binary protocol ----------------------------------------------------
 
@@ -552,8 +583,10 @@ class TCPServerTransport:
         self._m_requests.inc()
         self._m_bytes_received.inc(len(frame))
         try:
+            # a read-only request re-runs on a retry (seq 0: no dedup), so
+            # no update a reader pulled is retained
             reply = self.reply_cache.execute(
-                client_id, seq,
+                client_id, 0 if _is_read_only(payload) else seq,
                 lambda: self._dispatcher.dispatch(client_id, payload),
                 nonce=nonce)
         except Exception as exc:  # noqa: BLE001 — any dispatcher bug

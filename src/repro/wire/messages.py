@@ -145,11 +145,17 @@ class Message:
 
 
 _REGISTRY: Dict[int, Type[Message]] = {}
+#: tags of the read-only requests -> whether the ``mode`` byte decides it
+_READ_ONLY: Dict[int, bool] = {}
 
 
-def message(tag: int, *kinds: Kind):
+def message(tag: int, *kinds: Kind, read_only=False):
     """Class decorator: make ``cls`` a dataclass, declare the wire kind
-    of each of its fields (positionally), and register it under ``tag``."""
+    of each of its fields (positionally), and register it under ``tag``.
+
+    ``read_only`` marks a request a retry may simply run again, so no
+    reply to it is retained (docs/PROTOCOL.md §6): ``True``, or
+    ``"mode"`` when its leading ``segment``/``mode`` fields decide."""
 
     def declare(cls: Type[Message]) -> Type[Message]:
         cls = dataclass(cls)
@@ -161,10 +167,26 @@ def message(tag: int, *kinds: Kind):
             raise ValueError(f"duplicate message tag {tag}")
         cls.TAG = tag
         cls.FIELDS = tuple(zip(names, kinds))
+        if read_only == "mode" and kinds[:2] != (TEXT, U8):
+            raise TypeError(f"{cls.__name__}: mode must follow the segment")
+        if read_only:
+            _READ_ONLY[tag] = read_only == "mode"
         _REGISTRY[tag] = cls
         return cls
 
     return declare
+
+
+def _is_read_only(data: bytes) -> bool:
+    """Is the encoded request ``data`` read-only (see :func:`message`)?
+    Answered from the tag byte, and for a lock request the ``mode`` byte
+    after its segment name, without decoding; bytes that are no such
+    request say no."""
+    by_mode = _READ_ONLY.get(data[0]) if data else None
+    if not by_mode:
+        return by_mode is not None
+    mode_at = 5 + int.from_bytes(data[1:5], "big")
+    return len(data) > mode_at and data[mode_at] == LOCK_READ
 
 
 def encode_message(message: Message) -> bytes:
@@ -198,7 +220,7 @@ class OpenSegmentRequest(Message):
     client_id: str = ""
 
 
-@message(2, TEXT, U8, TEXT, U32, U8, F64, F64)
+@message(2, TEXT, U8, TEXT, U32, U8, F64, F64, read_only="mode")
 class LockAcquireRequest(Message):
     segment: str
     mode: int  # LOCK_READ or LOCK_WRITE
@@ -209,7 +231,7 @@ class LockAcquireRequest(Message):
     client_time: float = 0.0  # client clock, for temporal coherence
 
 
-@message(3, TEXT, U8, TEXT, OPT_DIFF)
+@message(3, TEXT, U8, TEXT, OPT_DIFF, read_only="mode")
 class LockReleaseRequest(Message):
     segment: str
     mode: int
@@ -217,7 +239,7 @@ class LockReleaseRequest(Message):
     diff: Optional[SegmentDiff] = None  # present on write release
 
 
-@message(4, TEXT, TEXT, U32, BOOL)
+@message(4, TEXT, TEXT, U32, BOOL, read_only=True)
 class FetchRequest(Message):
     segment: str
     client_id: str
@@ -243,7 +265,7 @@ class DeleteSegmentReply(Message):
     deleted: bool
 
 
-@message(7, TEXT)
+@message(7, TEXT, read_only=True)
 class GetStatsRequest(Message):
     """Ask the server for a stats snapshot (purely observational: no
     segment or coherence state changes)."""
@@ -266,6 +288,7 @@ class GetStatsReply(Message):
 
 @message(5, TEXT, TEXT, BOOL)
 class SubscribeRequest(Message):
+    # not read_only: a late copy could undo the client's next toggle
     segment: str
     client_id: str
     enable: bool

@@ -406,6 +406,92 @@ class TestGateway:
 
 
 # ---------------------------------------------------------------------------
+# out of descriptors
+# ---------------------------------------------------------------------------
+
+_EXHAUSTION_PROBE = """
+import json, logging, os, resource, socket, time
+from repro.transport import Dispatcher, TCPServerTransport, tcp
+from tests.test_transport import _frame, _read_reply
+
+FREED_BY = {freed_by!r}
+if FREED_BY == "close":  # the pause alone would outlast the test
+    tcp._ACCEPT_PAUSE_SECONDS = 30.0
+
+class Echo(Dispatcher):
+    def dispatch(self, client_id, data):
+        return b"echo:" + data
+
+warnings = []
+handler = logging.Handler()
+handler.emit = warnings.append
+logging.getLogger("repro.transport.tcp").addHandler(handler)
+transport = TCPServerTransport(Echo())
+spare = socket.create_connection(("127.0.0.1", transport.port), timeout=10)
+spare.sendall(_frame(1, b"spare"))
+_read_reply(spare)
+_soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE,
+                   (len(os.listdir("/proc/self/fd")) + 16, hard))
+hogs = []
+try:
+    while True:
+        hogs.append(os.open(os.devnull, os.O_RDONLY))
+except OSError:
+    pass
+os.close(hogs.pop())
+# the kernel completes the handshake; the core has no descriptor for it
+first = socket.create_connection(("127.0.0.1", transport.port), timeout=10)
+time.sleep(0.2)
+started = time.process_time()
+time.sleep(1.0)
+cpu = time.process_time() - started
+first.sendall(_frame(2, b"one"))
+freed = time.monotonic()
+if FREED_BY == "close":
+    spare.close()  # the core's end of it closes too
+else:
+    for fd in hogs:
+        os.close(fd)
+replies = [_read_reply(first)[2]]
+waited = time.monotonic() - freed
+if FREED_BY == "close":
+    for fd in hogs:
+        os.close(fd)
+second = socket.create_connection(("127.0.0.1", transport.port), timeout=10)
+second.sendall(_frame(3, b"two"))
+replies.append(_read_reply(second)[2])
+print(json.dumps({{"cpu": cpu, "warnings": len(warnings), "waited": waited,
+                   "replies": [reply.decode() for reply in replies]}}))
+"""
+
+
+class TestOutOfDescriptors:
+    @pytest.mark.parametrize("freed_by", ["pause", "close"])
+    def test_accept_backs_off_and_serves_once_descriptors_free(self, freed_by):
+        """A backlog the core has no descriptor to accept must not keep a
+        core thread spinning; the listener serves again once the pause
+        runs out, or at once when one of its connections closes."""
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        result = subprocess.run(
+            [sys.executable, "-c", _EXHAUSTION_PROBE.format(freed_by=freed_by)],
+            cwd=root,
+            env=dict(os.environ,
+                     PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root])),
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        outcome = json.loads(result.stdout)
+        assert outcome["cpu"] < 0.2, outcome
+        assert outcome["replies"] == ["echo:one", "echo:two"]
+        assert outcome["warnings"] == 1, outcome
+        if freed_by == "close":
+            assert outcome["waited"] < 1.0, outcome
+
+
+# ---------------------------------------------------------------------------
 # close()
 # ---------------------------------------------------------------------------
 
