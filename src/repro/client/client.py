@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Union
 
 import numpy as np
@@ -52,7 +52,7 @@ from repro.memory import (
     SegmentHeap,
     make_accessor,
 )
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, OwnerCounters, get_registry
 from repro.obs.tracing import Tracer
 from repro.transport.base import Channel
 from repro.types import TypeDescriptor, TypeRegistry, descriptor_at, flat_layout
@@ -110,20 +110,24 @@ class ClientOptions:
     failover_reresolve: bool = True
 
 
-@dataclass
-class ClientStats:
-    """Aggregated instrumentation across all segments."""
+class ClientStats(OwnerCounters):
+    """One client's instrumentation across all its segments: collect timers,
+    apply statistics, and its own share of each ``client.*`` counter."""
 
-    collect: CollectTimers = field(default_factory=CollectTimers)
-    apply: ApplyStats = field(default_factory=ApplyStats)
-    updates_applied: int = 0
-    diffs_sent: int = 0
-    validations_skipped: int = 0
-    validations_sent: int = 0
-    lock_denials_seen: int = 0
-    twins_created: int = 0
-    redirects_followed: int = 0
-    failovers_followed: int = 0
+    def __init__(self, owner: "InterWeaveClient", metrics: MetricsRegistry):
+        super().__init__(owner, metrics, "client", {
+            "twins_created": "pristine page copies made on write faults",
+            "updates_applied": "server update diffs applied to the cache",
+            "diffs_sent": "write diffs shipped at release",
+            "validations_sent": "read validations that hit the server",
+            "validations_skipped": "read acquires satisfied locally",
+            "lock_denials_seen": "write lock denials observed",
+            "redirects_followed": "WrongServer redirects chased to a new origin",
+            "failovers_followed":
+                "unreachable-server operations retried at a re-resolved origin",
+        })
+        self.collect = CollectTimers()
+        self.apply = ApplyStats()
 
 
 class Segment:
@@ -211,29 +215,12 @@ class InterWeaveClient:
         self.resolver = resolver or StaticResolver()
         self.clock = clock or WallClock()
         self.options = options or ClientOptions()
-        self.stats = ClientStats()
         self.metrics = metrics or get_registry()
+        self.stats = ClientStats(self, self.metrics)
         #: structured tracing over the client's clock (deterministic under
         #: VirtualClock); disabled tracers cost one attribute check per span
         self.tracer = tracer or Tracer(clock=self.clock, capacity=512)
-        self._m_twins = self.metrics.counter(
-            "client.twins_created", "pristine page copies made on write faults")
-        self._m_updates_applied = self.metrics.counter(
-            "client.updates_applied", "server update diffs applied to the cache")
-        self._m_diffs_sent = self.metrics.counter(
-            "client.diffs_sent", "write diffs shipped at release")
-        self._m_validations_sent = self.metrics.counter(
-            "client.validations_sent", "read validations that hit the server")
-        self._m_validations_skipped = self.metrics.counter(
-            "client.validations_skipped", "read acquires satisfied locally")
-        self._m_lock_denials = self.metrics.counter(
-            "client.lock_denials_seen", "write lock denials observed")
-        self._m_redirects = self.metrics.counter(
-            "client.redirects_followed",
-            "WrongServer redirects chased to a new origin")
-        self._m_failovers = self.metrics.counter(
-            "client.failovers_followed",
-            "unreachable-server operations retried at a re-resolved origin")
+        self._counts = self.stats.parts
         self._api_lock = threading.RLock()
         self.memory = AddressSpace(metrics=self.metrics)
         self.memory.fault_handler = self._on_write_fault
@@ -500,8 +487,7 @@ class InterWeaveClient:
                     raise ServerError(f"unexpected reply {type(reply).__name__}")
                 if reply.granted:
                     break
-                self.stats.lock_denials_seen += 1
-                self._m_lock_denials.inc()
+                self._counts.lock_denials_seen.inc()
                 retries += 1
                 if retries > self.options.lock_max_retries:
                     raise LockError(f"write lock on {segment.name!r} unavailable")
@@ -541,8 +527,7 @@ class InterWeaveClient:
         if not isinstance(reply, LockReleaseReply):
             raise ServerError(f"unexpected reply {type(reply).__name__}")
         if payload is not None:
-            self.stats.diffs_sent += 1
-            self._m_diffs_sent.inc()
+            self._counts.diffs_sent.inc()
             segment.version = reply.version
             segment.has_data = True
             segment.server_known_types.update(serial for serial, _ in diff.new_types)
@@ -621,8 +606,7 @@ class InterWeaveClient:
                           if segment.policy.kind == COHERENCE_TEMPORAL else None)
         if not segment.poller.must_contact_server(
                 temporal_bound=temporal_bound, now=self.clock.now()):
-            self.stats.validations_skipped += 1
-            self._m_validations_skipped.inc()
+            self._counts.validations_skipped.inc()
             return
         request = LockAcquireRequest(
             segment.name, LOCK_READ, self.client_id, segment.version,
@@ -630,8 +614,7 @@ class InterWeaveClient:
         reply = self._rpc_segment(segment, request)
         if not isinstance(reply, LockAcquireReply):
             raise ServerError(f"unexpected reply {type(reply).__name__}")
-        self.stats.validations_sent += 1
-        self._m_validations_sent.inc()
+        self._counts.validations_sent.inc()
         if reply.diff is not None:
             self._apply(segment, reply.diff)
         segment.poller.on_validated(reply.version, reply.diff is not None,
@@ -659,8 +642,7 @@ class InterWeaveClient:
         segment.server_known_types.update(serial for serial, _ in diff.new_types)
         segment.version = diff.to_version
         segment.has_data = True
-        self.stats.updates_applied += 1
-        self._m_updates_applied.inc()
+        self._counts.updates_applied.inc()
 
     def _collect(self, segment: Segment):
         unknown = [serial for serial, _ in segment.registry.items()
@@ -716,8 +698,7 @@ class InterWeaveClient:
             return False  # writing shared data without a write lock
         twinned = subsegment.twin_pages(
             space, (address - subsegment.base) // space.page_size, count)
-        self.stats.twins_created += twinned
-        self._m_twins.inc(twinned)
+        self._counts.twins_created.inc(twinned)
         space.unprotect_range(address, count * space.page_size)
         return True
 
@@ -906,8 +887,7 @@ class InterWeaveClient:
             return False
         if after == before:
             return False
-        self.stats.failovers_followed += 1
-        self._m_failovers.inc()
+        self._counts.failovers_followed.inc()
         return True
 
     def _rpc_named(self, name: str, request: Message) -> Message:
@@ -923,8 +903,7 @@ class InterWeaveClient:
                 return self._rpc(self._channel_for(name), request)
             except WrongServerError as exc:
                 last = exc
-                self.stats.redirects_followed += 1
-                self._m_redirects.inc()
+                self._counts.redirects_followed.inc()
                 self.resolver.on_redirect(exc.segment, exc.origin,
                                           exc.generation)
             except TransportError:
@@ -950,8 +929,7 @@ class InterWeaveClient:
                 return self._rpc(segment.channel, request)
             except WrongServerError as exc:
                 last = exc
-                self.stats.redirects_followed += 1
-                self._m_redirects.inc()
+                self._counts.redirects_followed.inc()
                 self.resolver.on_redirect(exc.segment, exc.origin,
                                           exc.generation)
             except TransportError:

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.ring import HashRing
 from repro.errors import InterWeaveError, ServerError
-from repro.obs.metrics import DualCounter, MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, OwnerCounters, get_registry
 from repro.transport.base import Dispatcher
 from repro.wire.messages import (
     DIR_ADD_ORIGIN,
@@ -77,14 +77,11 @@ class SegmentDirectory(Dispatcher):
         self._bindings: Dict[str, _Binding] = {}
         self._generation = 1
         self._lock = threading.Lock()
-        self._lookups = DualCounter(self.metrics.counter(
-            "cluster.lookups", "directory lookups answered"))
-        self._updates = DualCounter(self.metrics.counter(
-            "cluster.directory_updates",
-            "membership/pin/migrate updates applied"))
-        self._migrations = DualCounter(self.metrics.counter(
-            "cluster.migrations_completed",
-            "live migrations driven to commit"))
+        self._counts = OwnerCounters(self, self.metrics, "cluster", {
+            "lookups": "directory lookups answered",
+            "directory_updates": "membership/pin/migrate updates applied",
+            "migrations_completed": "live migrations driven to commit",
+        }).parts
 
     # -- bindings -----------------------------------------------------------------
 
@@ -105,7 +102,7 @@ class SegmentDirectory(Dispatcher):
                 binding = _Binding(self.ring.lookup(segment),
                                    self._generation)
                 self._bindings[segment] = binding
-            self._lookups.inc()
+            self._counts.lookups.inc()
             return binding.origin, binding.generation, binding.pinned
 
     def bind(self, segment: str, origin: str, pinned: bool = True) -> int:
@@ -180,7 +177,7 @@ class SegmentDirectory(Dispatcher):
 
     def record_migration(self) -> None:
         """A coordinator drove one migration to commit."""
-        self._migrations.inc()
+        self._counts.migrations_completed.inc()
 
     # -- dispatcher ---------------------------------------------------------------
 
@@ -223,7 +220,7 @@ class SegmentDirectory(Dispatcher):
             generation = self.migrator(request.segment, request.origin)
         else:
             raise ServerError(f"unknown directory op {request.op}")
-        self._updates.inc()
+        self._counts.directory_updates.inc()
         return DirectoryUpdateReply(ok=True, generation=generation)
 
     # -- introspection ------------------------------------------------------------
@@ -249,9 +246,9 @@ class SegmentDirectory(Dispatcher):
                 "generation": generation,
                 "bindings": bindings,
                 "pinned": sum(1 for b in bindings.values() if b["pinned"]),
-                "lookups": self._lookups.local,
-                "updates": self._updates.local,
-                "migrations_completed": self._migrations.local,
+                "lookups": self._counts.lookups.value,
+                "updates": self._counts.directory_updates.value,
+                "migrations_completed": self._counts.migrations_completed.value,
             },
             "metrics": self.metrics.snapshot(),
         }

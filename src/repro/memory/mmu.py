@@ -30,7 +30,7 @@ from bisect import bisect_right
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import ProtectionError
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, OwnerCounters, get_registry
 
 #: Default page size (bytes).  4 KiB, as on the paper's platforms.
 PAGE_SIZE = 4096
@@ -67,20 +67,6 @@ class _Mapping:
         self.protected = bytearray(num_pages)
 
 
-class FaultStats:
-    """Counters exposed for experiments: faults taken, pages protected."""
-
-    __slots__ = ("write_faults", "protect_calls", "unprotect_calls")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        self.write_faults = 0
-        self.protect_calls = 0
-        self.unprotect_calls = 0
-
-
 class AddressSpace:
     """A client process's simulated address space.
 
@@ -104,14 +90,13 @@ class AddressSpace:
         self._last: Optional[_Mapping] = None
         self._next_page = _BASE_ADDRESS // page_size
         self.fault_handler: Optional[Callable[["AddressSpace", int, int], bool]] = None
-        self.stats = FaultStats()
-        metrics = metrics or get_registry()
-        self._m_write_faults = metrics.counter(
-            "mmu.write_faults", "write-protected pages that stores hit")
-        self._m_protects = metrics.counter(
-            "mmu.protect_calls", "protect_range invocations")
-        self._m_unprotects = metrics.counter(
-            "mmu.unprotect_calls", "unprotect invocations")
+        #: this address space's own share of each ``mmu.*`` counter below
+        self.stats = OwnerCounters(self, metrics or get_registry(), "mmu", {
+            "write_faults": "write-protected pages that stores hit",
+            "protect_calls": "protect_range invocations",
+            "unprotect_calls": "unprotect invocations",
+        })
+        self._counts = self.stats.parts
 
     # -- mapping ---------------------------------------------------------------
 
@@ -168,13 +153,11 @@ class AddressSpace:
     def protect_range(self, base: int, length: int) -> None:
         """Write-protect all pages overlapping [base, base+length)."""
         self._set_protection(base, length, b"\x01")
-        self.stats.protect_calls += 1
-        self._m_protects.inc()
+        self._counts.protect_calls.inc()
 
     def unprotect_range(self, base: int, length: int) -> None:
         self._set_protection(base, length, b"\x00")
-        self.stats.unprotect_calls += 1
-        self._m_unprotects.inc()
+        self._counts.unprotect_calls.inc()
 
     def _set_protection(self, base: int, length: int, flag: bytes) -> None:
         shift = self._page_shift
@@ -255,8 +238,7 @@ class AddressSpace:
         for page, end in flag_runs(flags, 1, offset >> self._page_shift, stop):
             count = end - page
             first_page = (mapping.base >> self._page_shift) + page
-            self.stats.write_faults += count
-            self._m_write_faults.inc(count)
+            self._counts.write_faults.inc(count)
             if self.fault_handler is None:
                 raise ProtectionError(
                     f"write fault on page {first_page:#x} with no fault handler installed")

@@ -20,10 +20,10 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    DualCounter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    OwnerCounters,
     get_registry,
     set_registry,
 )
@@ -32,11 +32,11 @@ from repro.obs.tracing import NullTracer, Span, TraceEvent, Tracer
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "DualCounter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullTracer",
+    "OwnerCounters",
     "Span",
     "TraceEvent",
     "Tracer",

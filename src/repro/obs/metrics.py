@@ -22,8 +22,10 @@ histories produce byte-identical snapshots).
 from __future__ import annotations
 
 import threading
+import weakref
 from bisect import bisect_left
-from typing import Dict, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.util.clock import Clock, WallClock
 
@@ -35,19 +37,34 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 
 
 class Counter:
-    """A monotonically increasing integer."""
+    """A monotonically increasing integer.
 
-    __slots__ = ("name", "help", "_value", "_lock")
+    Several instances of one component can share a process and a
+    registry (two servers, a server and a relay), and experiments assert
+    on one instance's counts.  Each instance therefore increments a
+    *part* of the counter of its own (see :class:`OwnerCounters`): the
+    counter's value is its own increments plus every part's, including
+    the parts of owners since collected, so the total never drops.
+    """
+
+    __slots__ = ("name", "help", "_value", "_lock", "_parts", "_retired")
 
     def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
         self._value = 0
         self._lock = threading.Lock()
+        self._parts: Set["Counter"] = set()
+        #: parts whose owners were collected, not yet folded into _value
+        self._retired: List["Counter"] = []
 
     @property
     def value(self) -> int:
-        return self._value
+        if not self._parts:
+            return self._value
+        with self._lock:
+            self._fold()
+            return self._value + sum(part._value for part in self._parts)
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
@@ -57,34 +74,73 @@ class Counter:
 
     def reset(self) -> None:
         with self._lock:
+            self._fold()
             self._value = 0
+            for part in self._parts:
+                part.reset()
+
+    def _new_part(self) -> "Counter":
+        part = Counter(self.name, self.help)
+        with self._lock:
+            self._fold()
+            self._parts.add(part)
+        return part
+
+    def _fold(self) -> None:
+        """Move retired parts' counts into this counter's own; the caller
+        holds ``_lock``."""
+        retired = self._retired
+        while retired:
+            part = retired.pop()
+            # add before discarding: a lock-free read that finds no parts
+            # left must find their counts in _value already
+            self._value += part._value
+            self._parts.discard(part)
 
     def __repr__(self):
-        return f"Counter({self.name!r}={self._value})"
+        return f"Counter({self.name!r}={self.value})"
 
 
-class DualCounter:
-    """A per-instance tally that also feeds a process-wide aggregate.
+def _retire(parts: List[Tuple[Counter, Counter]]) -> None:
+    # called by the garbage collector, possibly on a thread that holds
+    # one of these counters' locks: take none, only queue the part for
+    # the counter's next read to fold
+    for counter, part in parts:
+        counter._retired.append(part)
 
-    Several servers (or a server and a caching proxy) can share one
-    process and one registry; experiments assert on a *specific*
-    instance's counts, so those stay local, while every increment also
-    lands in the registry counter that snapshots and ``GetStats``
-    export.  Increments come from concurrent dispatch threads, so the
-    local tally takes a lock too — experiments assert exact values.
+
+class OwnerCounters:
+    """One component instance's own counts, summed in the registry.
+
+    ``OwnerCounters(owner, registry, "server", {"diffs_applied": help})``
+    gives ``owner`` a part of the registry counter ``server.diffs_applied``.
+    The owner increments ``counters.parts.diffs_applied`` (keep ``parts``
+    at hand: it is the hot path), ``counters.diffs_applied`` reads the
+    owner's count, and the registry counter reads the sum over every
+    owner, live or collected.  ``registry.reset()`` zeroes the parts too.
     """
 
-    __slots__ = ("local", "aggregate", "_lock")
+    def __init__(self, owner: object, registry: "MetricsRegistry",
+                 prefix: str, names: Dict[str, str]):
+        pairs = []
+        for name, help in names.items():
+            counter = registry.counter(f"{prefix}.{name}", help)
+            pairs.append((counter, counter._new_part()))
+        self.parts = SimpleNamespace(
+            **{name: part for name, (_, part) in zip(names, pairs)})
+        weakref.finalize(owner, _retire, pairs).atexit = False
 
-    def __init__(self, aggregate: Counter):
-        self.local = 0
-        self.aggregate = aggregate
-        self._lock = threading.Lock()
+    def __getattr__(self, name: str) -> int:
+        part = vars(self.__dict__.get("parts", SimpleNamespace())).get(name)
+        if part is None:
+            raise AttributeError(
+                f"{type(self).__name__} has no count {name!r}")
+        return part.value
 
-    def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self.local += amount
-        self.aggregate.inc(amount)
+    def __repr__(self):
+        counts = ", ".join(f"{name}={part.value}"
+                           for name, part in vars(self.parts).items())
+        return f"{type(self).__name__}({counts})"
 
 
 class Gauge:

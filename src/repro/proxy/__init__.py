@@ -7,6 +7,6 @@ forwards the rest to the origin.  See ``docs/PROTOCOL.md`` §"Relay
 tier" and ``python -m repro.tools.proxy_main``.
 """
 
-from repro.proxy.proxy import CachingProxy, ProxyStats
+from repro.proxy.proxy import CachingProxy
 
-__all__ = ["CachingProxy", "ProxyStats"]
+__all__ = ["CachingProxy"]

@@ -67,7 +67,7 @@ from repro.errors import (
     ServerError,
     TransportError,
 )
-from repro.obs.metrics import DualCounter, MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, OwnerCounters, get_registry
 from repro.server.coherence import SegmentCoherence
 from repro.server.compose import compose_from_cache
 from repro.server.diff_cache import DiffCache
@@ -109,52 +109,6 @@ _TIMES_KEEP = 512
 #: how many WrongServer redirects the relay chases per request before
 #: handing the redirect downstream for the client's resolver to sort out
 _REDIRECT_FOLLOWS = 4
-
-
-class ProxyStats:
-    """Per-proxy counters, dual-recorded into the registry."""
-
-    def __init__(self, metrics: MetricsRegistry):
-        self.hits_counter = DualCounter(metrics.counter(
-            "proxy.hits", "reads answered from the relay cache"))
-        self.forwards_counter = DualCounter(metrics.counter(
-            "proxy.forwards", "requests forwarded to the origin"))
-        self.refreshes_counter = DualCounter(metrics.counter(
-            "proxy.refreshes", "upstream refresh round trips"))
-        self.notifications_counter = DualCounter(metrics.counter(
-            "proxy.notifications_pushed",
-            "invalidations re-pushed to local subscribers"))
-        self.redirects_counter = DualCounter(metrics.counter(
-            "proxy.redirects_followed",
-            "WrongServer redirects chased to a migrated segment's new origin"))
-        self.failovers_counter = DualCounter(metrics.counter(
-            "proxy.failovers_followed",
-            "unreachable-upstream re-resolves that rebound the relay to a "
-            "promoted origin"))
-
-    @property
-    def hits(self) -> int:
-        return self.hits_counter.local
-
-    @property
-    def forwards(self) -> int:
-        return self.forwards_counter.local
-
-    @property
-    def refreshes(self) -> int:
-        return self.refreshes_counter.local
-
-    @property
-    def notifications_pushed(self) -> int:
-        return self.notifications_counter.local
-
-    @property
-    def redirects_followed(self) -> int:
-        return self.redirects_counter.local
-
-    @property
-    def failovers_followed(self) -> int:
-        return self.failovers_counter.local
 
 
 class _SegmentRelay:
@@ -244,7 +198,18 @@ class CachingProxy(Dispatcher):
         self.compose_limit = compose_limit
         self.metrics = metrics or get_registry()
         self.diff_cache = DiffCache(diff_cache_bytes, metrics=self.metrics)
-        self.stats = ProxyStats(self.metrics)
+        #: this relay's own share of each ``proxy.*`` counter below
+        self.stats = OwnerCounters(self, self.metrics, "proxy", {
+            "hits": "reads answered from the relay cache",
+            "forwards": "requests forwarded to the origin",
+            "refreshes": "upstream refresh round trips",
+            "notifications_pushed": "invalidations re-pushed to local subscribers",
+            "redirects_followed":
+                "WrongServer redirects chased to a migrated segment's new origin",
+            "failovers_followed": "unreachable-upstream re-resolves that "
+                                  "rebound the relay to a promoted origin",
+        })
+        self._counts = self.stats.parts
         self._m_requests = self.metrics.counter(
             "proxy.requests", "protocol requests dispatched by the relay")
         self._m_errors = self.metrics.counter(
@@ -350,7 +315,7 @@ class CachingProxy(Dispatcher):
                 continue
             reply = decode_message(raw)
             if isinstance(reply, RedirectReply) and segment is not None:
-                self.stats.redirects_counter.inc()
+                self._counts.redirects_followed.inc()
                 self._learn_binding(reply.segment, reply.origin,
                                     reply.generation)
                 origin = reply.origin
@@ -397,7 +362,7 @@ class CachingProxy(Dispatcher):
         if fresh == dead:
             return False  # nothing to fail over to
         self._rebind_after_failover(dead, fresh)
-        self.stats.failovers_counter.inc()
+        self._counts.failovers_followed.inc()
         _log.info("relay %r failed over %r: %r -> %r",
                   self.name, segment, dead, fresh)
         return True
@@ -563,12 +528,12 @@ class CachingProxy(Dispatcher):
                 continue
             if not (isinstance(reply, RedirectReply) and segment is not None):
                 break
-            self.stats.redirects_counter.inc()
+            self._counts.redirects_followed.inc()
             self._learn_binding(reply.segment, reply.origin, reply.generation)
             origin = reply.origin
         # a RedirectReply that survives the chase goes downstream: the
         # client's own resolver is the authority of last resort
-        self.stats.forwards_counter.inc()
+        self._counts.forwards.inc()
         self._update_hit_rate()
         try:
             self._learn_from(client_id, request, reply)
@@ -712,7 +677,7 @@ class CachingProxy(Dispatcher):
             if not isinstance(reply, LockAcquireReply):
                 raise ServerError(
                     f"origin answered a refresh with {type(reply).__name__}")
-            self.stats.refreshes_counter.inc()
+            self._counts.refreshes.inc()
             now = self.clock.now()
             with entry.lock:
                 self._observe_version(entry, reply.version, now)
@@ -777,7 +742,7 @@ class CachingProxy(Dispatcher):
             if self.sink.push(view.client_id, message):
                 if view.version < version:
                     view.notified = True
-                self.stats.notifications_counter.inc()
+                self._counts.notifications_pushed.inc()
 
     # -- the staleness decision ---------------------------------------------------
 
@@ -943,12 +908,12 @@ class CachingProxy(Dispatcher):
     # -- introspection ------------------------------------------------------------
 
     def _count_hit(self) -> None:
-        self.stats.hits_counter.inc()
+        self._counts.hits.inc()
         self._update_hit_rate()
 
     def _update_hit_rate(self) -> None:
-        hits = self.stats.hits
-        total = hits + self.stats.forwards
+        hits = self._counts.hits.value
+        total = hits + self._counts.forwards.value
         if total:
             self._m_hit_rate.set(hits / total)
 

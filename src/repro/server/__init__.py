@@ -14,7 +14,7 @@ from repro.server.segment_state import (
     ServerBlock,
     ServerSegment,
 )
-from repro.server.server import InterWeaveServer, ServerStats
+from repro.server.server import InterWeaveServer
 from repro.server.version_list import VersionList
 from repro.server.wal import SegmentWAL, WALRecord, WriteAheadLog, read_wal, replay_records
 
@@ -28,7 +28,6 @@ __all__ = [
     "SegmentWAL",
     "ServerBlock",
     "ServerSegment",
-    "ServerStats",
     "VersionList",
     "WALRecord",
     "WriteAheadLog",

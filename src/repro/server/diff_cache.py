@@ -12,8 +12,7 @@ The cache is shared by every segment the server hosts, and with
 per-segment dispatch locking (see ``repro.server.server``) requests on
 *different* segments hit it concurrently — so it carries its own lock.
 All operations are short (dict lookups and byte-count arithmetic; payloads
-are never copied), so one plain mutex is cheap even on the read path, and
-the ``hits``/``misses`` tallies stay exact instead of racing.
+are never copied), so one plain mutex is cheap even on the read path.
 
 Retention invariant: entries must be immutable ``bytes`` the caller
 hands over for keeps — the release path stores the *same* buffer the
@@ -28,7 +27,7 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, OwnerCounters, get_registry
 
 Key = Tuple[str, int, int]  # (segment, from_version, to_version)
 
@@ -39,10 +38,10 @@ class DiffCache:
     Thread-safe: callers may ``get``/``put``/``invalidate_segment``
     concurrently from any number of dispatch threads.
 
-    Hit/miss tallies are kept per cache (experiments assert on one
-    server's cache) and dual-recorded into ``diff_cache.hits`` /
-    ``diff_cache.misses`` registry counters so the stats CLI and
-    benchmark sidecars see them alongside every other subsystem.
+    Each cache counts its own hits, misses and evictions (experiments
+    assert on one server's cache); the registry's ``diff_cache.*``
+    counters sum them over every cache, so the stats CLI and benchmark
+    sidecars see them alongside every other subsystem.
     """
 
     def __init__(self, capacity_bytes: int = 16 * 1024 * 1024,
@@ -53,15 +52,11 @@ class DiffCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Key, bytes]" = OrderedDict()
         self._bytes = 0
-        self._hits = 0
-        self._misses = 0
-        registry = metrics or get_registry()
-        self._m_hits = registry.counter(
-            "diff_cache.hits", "encoded diffs served from a diff cache")
-        self._m_misses = registry.counter(
-            "diff_cache.misses", "diff cache lookups that found nothing")
-        self._m_evictions = registry.counter(
-            "diff_cache.evictions", "entries evicted by the byte budget")
+        self._counts = OwnerCounters(self, metrics or get_registry(), "diff_cache", {
+            "hits": "encoded diffs served from a diff cache",
+            "misses": "diff cache lookups that found nothing",
+            "evictions": "entries evicted by the byte budget",
+        }).parts
 
     def __len__(self) -> int:
         with self._lock:
@@ -74,27 +69,22 @@ class DiffCache:
 
     @property
     def hits(self) -> int:
-        with self._lock:
-            return self._hits
+        return self._counts.hits.value
 
     @property
     def misses(self) -> int:
-        with self._lock:
-            return self._misses
+        return self._counts.misses.value
 
     def get(self, segment: str, from_version: int, to_version: int) -> Optional[bytes]:
         key = (segment, from_version, to_version)
         with self._lock:
             encoded = self._entries.get(key)
-            if encoded is None:
-                self._misses += 1
-            else:
+            if encoded is not None:
                 self._entries.move_to_end(key)
-                self._hits += 1
         if encoded is None:
-            self._m_misses.inc()
+            self._counts.misses.inc()
             return None
-        self._m_hits.inc()
+        self._counts.hits.inc()
         return encoded
 
     def put(self, segment: str, from_version: int, to_version: int,
@@ -114,7 +104,7 @@ class DiffCache:
                 self._bytes -= len(evicted)
                 evictions += 1
         if evictions:
-            self._m_evictions.inc(evictions)
+            self._counts.evictions.inc(evictions)
 
     def entries_for(self, segment: str) -> "list[Tuple[int, int, bytes]]":
         """Snapshot every cached diff for one segment, LRU order.
@@ -137,6 +127,6 @@ class DiffCache:
 
     @property
     def hit_rate(self) -> float:
-        with self._lock:
-            total = self._hits + self._misses
-            return self._hits / total if total else 0.0
+        hits = self._counts.hits.value
+        total = hits + self._counts.misses.value
+        return hits / total if total else 0.0

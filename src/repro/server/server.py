@@ -33,7 +33,7 @@ from typing import Dict, Optional
 
 from repro.coherence import CoherencePolicy
 from repro.errors import CheckpointError, InterWeaveError, ServerError, WALError
-from repro.obs.metrics import DualCounter, MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, OwnerCounters, get_registry
 from repro.server.coherence import SegmentCoherence
 from repro.server.diff_cache import DiffCache
 from repro.server.segment_state import ServerSegment
@@ -86,75 +86,6 @@ _log = logging.getLogger(__name__)
 #: ids as lease holders and the migration protocol never acquires through
 #: ``_acquire_write``
 MIGRATION_WRITER = "!migration"
-
-
-class ServerStats:
-    """Counters exposed for the experiments.
-
-    The ``*_counter`` attributes are the instruments the server
-    increments; the plain read-only properties keep the original
-    per-server integer API.
-    """
-
-    def __init__(self, metrics: MetricsRegistry):
-        self.diffs_applied_counter = DualCounter(metrics.counter(
-            "server.diffs_applied", "client write diffs applied"))
-        self.updates_built_counter = DualCounter(metrics.counter(
-            "server.updates_built", "update diffs rebuilt from subblock versions"))
-        self.updates_from_cache_counter = DualCounter(metrics.counter(
-            "server.updates_served_from_cache",
-            "update diffs served or composed from the diff cache"))
-        self.notifications_pushed_counter = DualCounter(metrics.counter(
-            "server.notifications_pushed", "invalidations pushed to subscribers"))
-        self.lock_denials_counter = DualCounter(metrics.counter(
-            "server.lock_denials", "write lock requests denied"))
-        self.lease_expiries_counter = DualCounter(metrics.counter(
-            "server.lease_expiries",
-            "write locks reclaimed from clients whose lease lapsed"))
-        self.redirects_counter = DualCounter(metrics.counter(
-            "server.redirects_served",
-            "requests answered with a WrongServer redirect"))
-        self.migrations_in_counter = DualCounter(metrics.counter(
-            "server.migrations_in", "segments imported by live migration"))
-        self.migrations_out_counter = DualCounter(metrics.counter(
-            "server.migrations_out",
-            "segments migrated away (commit received)"))
-
-    @property
-    def diffs_applied(self) -> int:
-        return self.diffs_applied_counter.local
-
-    @property
-    def updates_built(self) -> int:
-        return self.updates_built_counter.local
-
-    @property
-    def updates_served_from_cache(self) -> int:
-        return self.updates_from_cache_counter.local
-
-    @property
-    def notifications_pushed(self) -> int:
-        return self.notifications_pushed_counter.local
-
-    @property
-    def lock_denials(self) -> int:
-        return self.lock_denials_counter.local
-
-    @property
-    def lease_expiries(self) -> int:
-        return self.lease_expiries_counter.local
-
-    @property
-    def redirects_served(self) -> int:
-        return self.redirects_counter.local
-
-    @property
-    def migrations_in(self) -> int:
-        return self.migrations_in_counter.local
-
-    @property
-    def migrations_out(self) -> int:
-        return self.migrations_out_counter.local
 
 
 @dataclass
@@ -219,7 +150,19 @@ class InterWeaveServer(Dispatcher):
         self.segments: Dict[str, _SegmentEntry] = {}
         self.metrics = metrics or get_registry()
         self.diff_cache = DiffCache(diff_cache_bytes, metrics=self.metrics)
-        self.stats = ServerStats(self.metrics)
+        #: this server's own share of each ``server.*`` counter below
+        self.stats = OwnerCounters(self, self.metrics, "server", {
+            "diffs_applied": "client write diffs applied",
+            "updates_built": "update diffs rebuilt from subblock versions",
+            "updates_served_from_cache": "update diffs served or composed from the diff cache",
+            "notifications_pushed": "invalidations pushed to subscribers",
+            "lock_denials": "write lock requests denied",
+            "lease_expiries": "write locks reclaimed from clients whose lease lapsed",
+            "redirects_served": "requests answered with a WrongServer redirect",
+            "migrations_in": "segments imported by live migration",
+            "migrations_out": "segments migrated away (commit received)",
+        })
+        self._counts = self.stats.parts
         self._m_requests = self.metrics.counter(
             "server.requests", "protocol requests dispatched")
         self._m_errors = self.metrics.counter(
@@ -395,7 +338,7 @@ class InterWeaveServer(Dispatcher):
                                                     None))
                 if moved is None:
                     raise
-        self.stats.redirects_counter.inc()
+        self._counts.redirects_served.inc()
         target, generation = moved
         return RedirectReply(request.segment, target, generation)
 
@@ -544,7 +487,7 @@ class InterWeaveServer(Dispatcher):
         for from_version, to_version, encoded in request.diffs:
             self.diff_cache.put(request.segment, from_version, to_version,
                                 encoded)
-        self.stats.migrations_in_counter.inc()
+        self._counts.migrations_in.inc()
         return MigrateAck(ok=True)
 
     def _migrate_commit(self, request: MigrateCommitRequest) -> Message:
@@ -580,7 +523,7 @@ class InterWeaveServer(Dispatcher):
                                                       version))
             for view in evicted:
                 self.sink.push(view.client_id, message)
-        self.stats.migrations_out_counter.inc()
+        self._counts.migrations_out.inc()
         return MigrateAck(ok=True)
 
     def _migrate_abort(self, request: MigrateAbortRequest) -> Message:
@@ -619,7 +562,7 @@ class InterWeaveServer(Dispatcher):
             if self.clock.now() < entry.writer_expires:
                 return
             entry.writer = None
-        self.stats.lease_expiries_counter.inc()
+        self._counts.lease_expiries.inc()
 
     def _acquire(self, client_id: str, request: LockAcquireRequest) -> Message:
         # locks never create segments: opening is explicit, and a deleted
@@ -646,7 +589,7 @@ class InterWeaveServer(Dispatcher):
                 entry.writer_expires = self.clock.now() + self.lease_duration
                 expires = entry.writer_expires
         if denied:
-            self.stats.lock_denials_counter.inc()
+            self._counts.lock_denials.inc()
             return LockAcquireReply(granted=False, version=state.version)
         if self.replicator is not None:
             # mirror the grant so a promoted backup honors this writer's
@@ -733,7 +676,7 @@ class InterWeaveServer(Dispatcher):
             now = self.clock.now()
             modified_units = sum(bd.covered_units() for bd in diff.block_diffs)
             new_version = state.apply_client_diff(diff, now=now)
-            self.stats.diffs_applied_counter.inc()
+            self._counts.diffs_applied.inc()
             entry.coherence.on_new_version(modified_units)
             entry.coherence.on_client_updated(client_id, new_version,
                                               entry.coherence.view(client_id).policy)
@@ -942,7 +885,7 @@ class InterWeaveServer(Dispatcher):
                 # the *next* invalidation it actually needs
                 if view.version < version:
                     view.notified = True
-                self.stats.notifications_pushed_counter.inc()
+                self._counts.notifications_pushed.inc()
 
     # -- update construction -----------------------------------------------------------
 
@@ -954,14 +897,14 @@ class InterWeaveServer(Dispatcher):
         if cached is not None:
             from repro.wire import decode_segment_diff
 
-            self.stats.updates_from_cache_counter.inc()
+            self._counts.updates_served_from_cache.inc()
             return decode_segment_diff(cached)
         diff = self._compose_from_cache(state, client_version)
         if diff is None:
             diff = state.build_update(client_version)
             if diff is None:
                 return None
-            self.stats.updates_built_counter.inc()
+            self._counts.updates_built.inc()
         self.diff_cache.put(state.name, client_version, state.version,
                             encode_segment_diff(diff))
         return diff
@@ -977,7 +920,7 @@ class InterWeaveServer(Dispatcher):
                                   client_version, state.version)
         if diff is None:
             return None  # chain broken: rebuild from subblock versions
-        self.stats.updates_from_cache_counter.inc()
+        self._counts.updates_served_from_cache.inc()
         return diff
 
     # -- checkpointing --------------------------------------------------------------------

@@ -5,7 +5,7 @@ Usage::
     python -m repro.tools.server_main [--host H] [--port P]
         [--checkpoint-dir DIR] [--checkpoint-every N] [--restore]
         [--wal-dir DIR] [--no-wal-fsync] [--role primary|backup]
-        [--quorum-ack] [--gateway-port P]
+        [--gateway-port P]
 
 Runs an :class:`~repro.server.InterWeaveServer` behind the server core,
 :class:`~repro.transport.TCPServerTransport` (Linux: one epoll, no thread
@@ -15,7 +15,11 @@ serving: checkpoints from ``--checkpoint-dir``, then the diff write-ahead
 log from ``--wal-dir`` replayed on top (torn tails truncated), so a
 SIGKILL'd server resumes with every committed version.  ``--role backup`` starts the server as a
 replication target: it only accepts the ReplicateAppend/ReplicateCatchup
-stream (and stats) until a coordinator promotes it.  Clients connect
+stream (and stats) until a coordinator promotes it.  The tool attaches
+no replication sender, so it has no quorum-ack option: a quorum-ack
+primary is ``InterWeaveServer(quorum_ack=True)`` with a
+:class:`~repro.replication.ReplicationSender` attached
+(``server.attach_replicator``).  Clients connect
 with :class:`~repro.transport.TCPChannel`; push notifications are
 unavailable over TCP, so clients poll (the adaptive protocol handles
 this automatically).
@@ -60,14 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="primary",
                         help="'backup' only accepts the replication stream "
                              "until promoted")
-    parser.add_argument("--quorum-ack", action="store_true",
-                        help="answer a write release only after the backup "
-                             "acked the replicated diff (RPO=0 across "
-                             "machine loss; degrades to async replication "
-                             "after --quorum-timeout)")
-    parser.add_argument("--quorum-timeout", type=float, default=1.0,
-                        help="seconds a quorum-ack release waits for the "
-                             "backup before degrading to async")
     parser.add_argument("--diff-cache-mb", type=int, default=16,
                         help="diff cache capacity in MiB")
     add_io_arguments(parser)
@@ -84,9 +80,7 @@ def serve(args, ready_event: "threading.Event" = None,
         checkpoint_every=args.checkpoint_every if args.checkpoint_dir else 0,
         wal_dir=args.wal_dir,
         wal_fsync=not args.no_wal_fsync,
-        role=args.role,
-        quorum_ack=args.quorum_ack,
-        quorum_timeout=args.quorum_timeout)
+        role=args.role)
     restored = 0
     replayed = 0
     if args.restore and (args.checkpoint_dir or args.wal_dir):

@@ -11,7 +11,6 @@ from repro.transport.base import (
     NullSink,
     ReplyCache,
     ReplyFuture,
-    TransportStats,
 )
 from repro.transport.fault import FaultInjectingChannel, FaultPlan
 from repro.transport.inproc import InProcChannel, InProcHub
@@ -36,6 +35,5 @@ __all__ = [
     "RetryPolicy",
     "TCPChannel",
     "TCPServerTransport",
-    "TransportStats",
     "is_retryable",
 ]

@@ -3,7 +3,7 @@
 A :class:`Channel` carries one client's requests to one server and returns
 replies; bytes in, bytes out.  Whatever the concrete transport (in-process
 or TCP), **every message crosses a real serialization boundary**, so the
-byte counts recorded in :class:`TransportStats` are genuine wire sizes —
+byte counts a channel records (``channel.stats``) are genuine wire sizes —
 the numbers Figure 7 of the paper is about.
 
 Server-initiated traffic (the notification half of the adaptive
@@ -22,7 +22,7 @@ from typing import Callable, Dict, Optional, Tuple
 _log = logging.getLogger(__name__)
 
 from repro.errors import TransportTimeout, WireFormatError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import OwnerCounters, get_registry
 
 
 class ReplyFuture:
@@ -62,30 +62,12 @@ class ReplyFuture:
         return self._reply
 
 
-class TransportStats:
-    """Byte and message accounting for one channel (or one server)."""
-
-    __slots__ = ("bytes_sent", "bytes_received", "requests", "notifications")
-
-    def __init__(self):
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.requests = 0
-        self.notifications = 0
+class _ChannelCounts(OwnerCounters):
+    """A channel's own ``transport.*`` counts."""
 
     @property
     def total_bytes(self) -> int:
         return self.bytes_sent + self.bytes_received
-
-    def reset(self) -> None:
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.requests = 0
-        self.notifications = 0
-
-    def __repr__(self):
-        return (f"TransportStats(sent={self.bytes_sent}, received={self.bytes_received}, "
-                f"requests={self.requests})")
 
 
 class Channel:
@@ -95,41 +77,35 @@ class Channel:
     can_push = False
 
     def __init__(self):
-        self.stats = TransportStats()
         #: invoked (with no arguments) after the channel re-establishes a
         #: lost connection; clients use it to reset per-segment polling
         #: state, since notifications may have been missed while down
         self.reconnect_listener: Optional[Callable[[], None]] = None
         metrics = get_registry()
-        self._m_bytes_sent = metrics.counter(
-            "transport.bytes_sent", "request bytes sent by client channels")
-        self._m_bytes_received = metrics.counter(
-            "transport.bytes_received", "reply/push bytes received by channels")
-        self._m_requests = metrics.counter(
-            "transport.requests", "request/reply round trips")
-        self._m_notifications = metrics.counter(
-            "transport.notifications", "server pushes delivered to channels")
+        #: this channel's own share of each ``transport.*`` counter below
+        self.stats = _ChannelCounts(self, metrics, "transport", {
+            "bytes_sent": "request bytes sent by client channels",
+            "bytes_received": "reply/push bytes received by channels",
+            "requests": "request/reply round trips",
+            "notifications": "server pushes delivered to channels",
+        })
+        self._counts = self.stats.parts
         self._m_rtt = metrics.histogram(
             "transport.request_seconds", help="request round-trip latency")
 
     def _record_request(self, sent: int, received: int,
                         seconds: Optional[float] = None) -> None:
-        """Account one round trip in the channel's stats and the registry."""
-        self.stats.requests += 1
-        self.stats.bytes_sent += sent
-        self.stats.bytes_received += received
-        self._m_requests.inc()
-        self._m_bytes_sent.inc(sent)
-        self._m_bytes_received.inc(received)
+        """Account one round trip in the channel's counts."""
+        self._counts.requests.inc()
+        self._counts.bytes_sent.inc(sent)
+        self._counts.bytes_received.inc(received)
         if seconds is not None:
             self._m_rtt.observe(seconds)
 
     def _record_push(self, received: int) -> None:
         """Account one server push delivered over this channel."""
-        self.stats.notifications += 1
-        self.stats.bytes_received += received
-        self._m_notifications.inc()
-        self._m_bytes_received.inc(received)
+        self._counts.notifications.inc()
+        self._counts.bytes_received.inc(received)
 
     def request(self, data: bytes) -> bytes:
         raise NotImplementedError

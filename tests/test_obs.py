@@ -1,6 +1,10 @@
 """Tests for repro.obs: metrics registry, tracing, and introspection."""
 
+import gc
 import json
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -10,6 +14,7 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     NullTracer,
+    OwnerCounters,
     Tracer,
     get_registry,
     render_table,
@@ -270,6 +275,162 @@ class TestInstrumentationEndToEnd:
         reader_names = [span["name"]
                         for span in reader.tracer.export()["spans"]]
         assert "client.apply_update" in reader_names
+
+
+def _server_with_releases(name: str, releases: int):
+    """A server that has applied ``releases`` write diffs; the hub and
+    the writer that drove it are dropped on return."""
+    from repro import InProcHub, InterWeaveClient, InterWeaveServer
+    from repro.arch import X86_32
+    from repro.types import INT
+
+    hub = InProcHub()
+    server = InterWeaveServer(name, sink=hub)
+    hub.register_server(name, server)
+    writer = InterWeaveClient(f"w-{name}", X86_32, hub.connect)
+    seg = writer.open_segment(f"{name}/s")
+    writer.wl_acquire(seg)
+    value = writer.malloc(seg, INT, name="v")
+    writer.wl_release(seg)
+    for release in range(releases - 1):
+        writer.wl_acquire(seg)
+        value.set(release + 1)
+        writer.wl_release(seg)
+    return server
+
+
+class _Owner:
+    pass
+
+
+class TestOwnerCounters:
+    """Each instance counts into its own part; the registry sums them."""
+
+    @pytest.fixture
+    def registry(self):
+        registry = MetricsRegistry(clock=VirtualClock())
+        previous = set_registry(registry)
+        yield registry
+        set_registry(previous)
+
+    def test_each_server_reads_its_own_and_the_registry_their_sum(self, registry):
+        first = _server_with_releases("a", 2)
+        second = _server_with_releases("b", 3)
+        assert first.stats.diffs_applied == 2
+        assert second.stats.diffs_applied == 3
+        counters = registry.snapshot()["counters"]
+        assert counters["server.diffs_applied"] == 5
+        assert counters["diff_cache.misses"] == (
+            first.diff_cache.misses + second.diff_cache.misses)
+        registry.reset()
+        assert registry.snapshot()["counters"]["server.diffs_applied"] == 0
+        assert first.stats.diffs_applied == 0
+        assert second.stats.diffs_applied == 0
+
+    def test_a_collected_servers_counts_stay_in_the_sum(self, registry):
+        first = _server_with_releases("a", 2)
+        second = _server_with_releases("b", 3)
+        collected = weakref.ref(second)
+        del second
+        gc.collect()
+        assert collected() is None
+        assert registry.snapshot()["counters"]["server.diffs_applied"] == 5
+        assert first.stats.diffs_applied == 2
+        third = _server_with_releases("c", 1)  # a new part after the fold
+        assert third.stats.diffs_applied == 1
+        assert registry.counter("server.diffs_applied").value == 6
+
+    def test_channels_count_their_own_bytes(self, registry):
+        from repro import InProcHub, InterWeaveServer
+        from repro.wire.messages import GetStatsRequest, encode_message
+
+        hub = InProcHub()
+        hub.register_server("h", InterWeaveServer("h", sink=hub))
+        channels = [hub.connect("h", f"c{k}") for k in range(2)]
+        channels[0].request(encode_message(GetStatsRequest("c0")))
+        assert channels[1].stats.requests == 0
+        assert channels[0].stats.requests == 1
+        assert channels[0].stats.total_bytes == (
+            channels[0].stats.bytes_sent + channels[0].stats.bytes_received)
+        assert registry.counter("transport.requests").value == 1
+
+    def test_an_unknown_count_is_an_attribute_error(self, registry):
+        owner = _Owner()
+        counts = OwnerCounters(owner, registry, "t", {"events": ""})
+        assert counts.events == 0
+        assert not hasattr(counts, "nonsense")
+
+    def test_retiring_under_the_counters_lock_does_not_block(self):
+        # the collector can run on a thread that holds the counter's lock;
+        # retiring the part there must take no lock
+        registry = MetricsRegistry()
+        owner = _Owner()
+        owner.stats = OwnerCounters(owner, registry, "t", {"events": ""})
+        owner.stats.parts.events.inc(3)
+        owner.cycle = owner  # only the cycle collector frees it
+        counter = registry.counter("t.events")
+        collected = weakref.ref(owner)
+        del owner
+
+        def collect_holding_the_lock():
+            with counter._lock:
+                gc.collect()
+
+        was_enabled = gc.isenabled()
+        gc.disable()  # no automatic collection before the one under test
+        try:
+            worker = threading.Thread(target=collect_holding_the_lock,
+                                      daemon=True)
+            worker.start()
+            worker.join(timeout=10)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert not worker.is_alive(), "retiring a part blocked on the lock"
+        assert collected() is None
+        assert counter.value == 3
+
+    def test_owners_coming_and_going_lose_no_count(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("t.events")
+        stop = threading.Event()
+        reads = []
+
+        def churn():
+            for _ in range(200):
+                owner = _Owner()
+                owner.stats = OwnerCounters(owner, registry, "t",
+                                            {"events": ""})
+                owner.cycle = owner
+                for _ in range(5):
+                    owner.stats.parts.events.inc()
+                counter.inc()
+
+        def read():
+            while not stop.is_set():
+                reads.append(counter.value)
+                gc.collect(0)
+
+        reader = threading.Thread(target=read, daemon=True)
+        workers = [threading.Thread(target=churn, daemon=True)
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            stop.set()
+            reader.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert not any(worker.is_alive() for worker in workers)
+        gc.collect()
+        assert counter.value == 4 * 200 * 6
+        assert reads == sorted(reads)  # the total never drops
 
 
 class TestGetStats:
