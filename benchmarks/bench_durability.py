@@ -43,8 +43,8 @@ Two scenarios, both with real concurrency:
 
 - **quorum**: release-latency comparison between async replication and
   ``quorum_ack=True``, then a *machine* kill — the primary dies together
-  with its replication sender (``abandon()``, no flush), so every record
-  still queued on the dead machine is lost.  Async replication may lose
+  with its replication sender (``abandon()``, no flush), so every version
+  the dead machine's sender had not shipped is lost.  Async replication may lose
   the tail; quorum-ack may not: every acked release was already applied
   by the backup, so the bar is ``max(0, acked - backup_version) == 0``
   for the quorum run, with the latency cost reported alongside.
@@ -338,8 +338,8 @@ class FailableDispatcher(Dispatcher):
 
     ``active`` counts dispatches already past the liveness check — the
     promotion sequence waits for it to reach zero so every commit that
-    beat the crash has enqueued its replication record before the final
-    flush.
+    beat the crash has announced its version to the replication sender
+    before the final flush.
     """
 
     def __init__(self, inner: Dispatcher):
@@ -647,7 +647,7 @@ def _latency_stats(samples: list) -> dict:
 def _quorum_mode(quorum: bool, sections: int) -> dict:
     """One primary-backup run: measure release latency, then model a
     *machine* kill — the primary dies together with its replication
-    sender, so queued records are abandoned, never flushed."""
+    sender, so unshipped versions are abandoned, never flushed."""
     hub = InProcHub()
     primary = InterWeaveServer("primary", sink=hub, lease_duration=5.0,
                                quorum_ack=quorum, quorum_timeout=2.0,
@@ -686,7 +686,7 @@ def _quorum_mode(quorum: bool, sections: int) -> dict:
         acked += 1
 
     # the machine kill: primary and sender die in the same instant — no
-    # flush, the queue's records are gone
+    # flush, the versions the sender had not shipped are gone
     failable.dead = True
     abandoned = sender.abandon()
     # the record the worker already had in hand still lands (or fails):
@@ -801,7 +801,7 @@ def test_relay_failover_loses_nothing_downstream():
 
 def test_quorum_ack_survives_a_machine_kill():
     """Quorum-ack mode: the primary machine dies with its replication
-    queue unflushed, yet every acked release is already at the backup."""
+    sender unflushed, yet every acked release is already at the backup."""
     quorum = _results()["quorum"]
     assert quorum["quorum"]["acked_releases"] > 0, quorum
     assert quorum["quorum"]["lost_acked_versions"] == 0, quorum

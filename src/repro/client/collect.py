@@ -30,13 +30,14 @@ steps 1–3 are skipped entirely.
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.memory.heap import BlockInfo, SegmentHeap, SubSegment
 from repro.memory.mmu import AddressSpace
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import Instruments, MetricsRegistry
 from repro.types import flat_layout
 from repro.wire import BlockDiff, SegmentDiff, TranslationContext
 from repro.wire.translate import collect_runs
@@ -161,6 +162,20 @@ class CollectTimers:
 BLOCK_FULL_THRESHOLD = 0.75
 
 
+_collect_metrics = Instruments(lambda metrics: SimpleNamespace(
+    runs=metrics.counter("client.collect.runs",
+                         "diff collection executions (one per write release)"),
+    nodiff_runs=metrics.counter("client.collect.nodiff_runs",
+                                "collections that transmitted whole blocks"),
+    diff_runs=metrics.counter("client.collect.diff_runs",
+                              "RLE runs emitted by diff collection"),
+    rle_bytes=metrics.counter("client.collect.rle_bytes",
+                              "wire payload bytes emitted by diff collection"),
+    modified_units=metrics.counter("client.collect.modified_units"),
+    word_diff_seconds=metrics.histogram("client.collect.word_diff_seconds"),
+    translate_seconds=metrics.histogram("client.collect.translate_seconds")))
+
+
 def collect_write_diff(tctx: TranslationContext, heap: SegmentHeap,
                        from_version: int,
                        created: List[BlockInfo],
@@ -181,7 +196,7 @@ def collect_write_diff(tctx: TranslationContext, heap: SegmentHeap,
     the no-diff controller adapts on).
     """
     timers = timers or CollectTimers()
-    metrics = metrics or get_registry()
+    metrics = _collect_metrics(metrics)
     word_diff_before = timers.word_diff_seconds
     translate_before = timers.translate_seconds
     arch = tctx.arch
@@ -250,20 +265,14 @@ def collect_write_diff(tctx: TranslationContext, heap: SegmentHeap,
                 tctx, layout, block.address, [0], [layout.prim_count])))
     timers.translate_seconds += time.perf_counter() - started
 
-    metrics.counter("client.collect.runs",
-                    "diff collection executions (one per write release)").inc()
+    metrics.runs.inc()
     if not use_diffing:
-        metrics.counter("client.collect.nodiff_runs",
-                        "collections that transmitted whole blocks").inc()
-    metrics.counter("client.collect.diff_runs",
-                    "RLE runs emitted by diff collection").inc(
-        sum(bd.columns.run_count for bd in diff.block_diffs))
-    metrics.counter("client.collect.rle_bytes",
-                    "wire payload bytes emitted by diff collection").inc(
-        diff.payload_bytes())
-    metrics.counter("client.collect.modified_units").inc(modified_units)
-    metrics.histogram("client.collect.word_diff_seconds").observe(
+        metrics.nodiff_runs.inc()
+    metrics.diff_runs.inc(sum(bd.columns.run_count for bd in diff.block_diffs))
+    metrics.rle_bytes.inc(diff.payload_bytes())
+    metrics.modified_units.inc(modified_units)
+    metrics.word_diff_seconds.observe(
         timers.word_diff_seconds - word_diff_before)
-    metrics.histogram("client.collect.translate_seconds").observe(
+    metrics.translate_seconds.observe(
         timers.translate_seconds - translate_before)
     return diff, modified_units

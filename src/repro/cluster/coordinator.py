@@ -143,14 +143,14 @@ class ClusterCoordinator:
         When the primary process is still alive (planned failover, or a
         machine partition where only the serving port died), pass its
         :class:`~repro.replication.ReplicationSender` as ``sender``: the
-        coordinator drains the queued replication backlog into the backup
-        *before* the directory rebinds, so writes the primary already
-        acked cannot be missing from the promoted copy.  If the backlog
-        cannot drain within ``drain_timeout`` (dead channel, wedged
-        backup) the remaining records are explicitly abandoned — loudly —
-        rather than left racing the promotion: a record shipped after
-        REPL_PROMOTE would be applied by a *serving* origin whose clients
-        are already writing to those segments.
+        coordinator flushes what the backup still lacks into it *before*
+        the directory rebinds, so writes the primary already acked
+        cannot be missing from the promoted copy.  If that backlog cannot
+        drain within ``drain_timeout`` (dead channel, wedged backup) the
+        stream is explicitly abandoned — loudly — rather than left racing
+        the promotion: a record shipped after REPL_PROMOTE would be
+        applied by a *serving* origin whose clients are already writing
+        to those segments.
 
         Tells the backup to start serving (REPL_PROMOTE), adds it to the
         ring, rebinds every segment bound to the failed origin — clients
@@ -167,9 +167,9 @@ class ClusterCoordinator:
                 abandoned = sender.abandon()
                 _log.warning(
                     "promotion of %r: replication backlog did not drain "
-                    "within %.1fs; abandoned %d queued record(s) — the "
-                    "promoted backup %r may be missing the newest acked "
-                    "writes", failed, drain_timeout, abandoned, backup)
+                    "within %.1fs; abandoned %d unacknowledged version(s) "
+                    "— the promoted backup %r may be missing the newest "
+                    "acked writes", failed, drain_timeout, abandoned, backup)
         self._request(backup, ReplicateAppendRequest(
             kind=REPL_PROMOTE, client_id=self.client_id))
         if backup not in self.directory.ring:

@@ -25,7 +25,7 @@ import threading
 import weakref
 from bisect import bisect_left
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.util.clock import Clock, WallClock
 
@@ -308,6 +308,27 @@ class MetricsRegistry:
 
 
 _default_registry = MetricsRegistry()
+
+
+class Instruments:
+    """A hot path's instruments, resolved once per registry instead of
+    by name on every call: ``Instruments(resolve)(registry)`` returns
+    ``resolve(registry)``, kept for the last registry asked about.  The
+    default registry is the current one, so a :func:`set_registry` swap
+    is followed."""
+
+    __slots__ = ("_resolve", "_cached")
+
+    def __init__(self, resolve: Callable[[MetricsRegistry], object]):
+        self._resolve = resolve
+        self._cached: tuple = (None, None)
+
+    def __call__(self, registry: Optional[MetricsRegistry] = None):
+        registry = registry or _default_registry
+        cached = self._cached
+        if cached[0] is not registry:
+            cached = self._cached = (registry, self._resolve(registry))
+        return cached[1]
 
 
 def get_registry() -> MetricsRegistry:

@@ -16,7 +16,7 @@ are never copied), so one plain mutex is cheap even on the read path.
 
 Retention invariant: entries must be immutable ``bytes`` the caller
 hands over for keeps — the release path stores the *same* buffer the
-WAL writes and the replication stream ships, and decoders hand out
+WAL writes and the replication sender later ships, and decoders hand out
 ``memoryview`` slices over a cached entry (``compose_from_cache``), so
 a mutable or recycled buffer here would alias live diff data.
 """
@@ -86,6 +86,14 @@ class DiffCache:
             return None
         self._counts.hits.inc()
         return encoded
+
+    def peek(self, segment: str, from_version: int,
+             to_version: int) -> Optional[bytes]:
+        """The cached entry, or None, without counting a hit or miss or
+        refreshing its LRU position: replication reads here, and the
+        tallies measure reader traffic."""
+        with self._lock:
+            return self._entries.get((segment, from_version, to_version))
 
     def put(self, segment: str, from_version: int, to_version: int,
             encoded: bytes) -> None:

@@ -587,14 +587,13 @@ class InterWeaveServer(Dispatcher):
             if not denied:
                 entry.writer = client_id
                 entry.writer_expires = self.clock.now() + self.lease_duration
-                expires = entry.writer_expires
         if denied:
             self._counts.lock_denials.inc()
             return LockAcquireReply(granted=False, version=state.version)
         if self.replicator is not None:
             # mirror the grant so a promoted backup honors this writer's
             # lease instead of handing the lock to someone else mid-write
-            self.replicator.append_lease(state.name, client_id, expires)
+            self.replicator.announce(state.name, state.version)
         # a writer must build on the current version, regardless of its
         # coherence model for reads
         diff = self._update_for(state, request.client_version)
@@ -647,7 +646,7 @@ class InterWeaveServer(Dispatcher):
         entry = self._entry(request.segment)
         pending = None
         checkpoint = None
-        ticket = None
+        quorum_version = None
         with self._write_locked(entry):
             self._lease_touch(entry, client_id)
             state = entry.state
@@ -669,7 +668,7 @@ class InterWeaveServer(Dispatcher):
                 if self.replicator is not None:
                     # nothing committed, but the backup must learn the
                     # lease is free — no diff record will imply it
-                    self.replicator.append_lease(state.name, "", 0.0)
+                    self.replicator.announce(state.name, state.version)
                 return LockReleaseReply(version=state.version)
             diff = request.diff
             from_version = diff.from_version
@@ -682,25 +681,25 @@ class InterWeaveServer(Dispatcher):
                                               entry.coherence.view(client_id).policy)
             # re-encode once; the DiffCache retains this buffer, the WAL
             # writes it as-is (split frame, no re-copy), and the
-            # replication stream ships it — one encoded buffer per
-            # release across all three tiers
+            # replication sender reads it back from the cache to ship
+            # it — one encoded buffer per release across all three tiers
             for block_diff in diff.block_diffs:
                 block_diff.version = new_version
             diff.to_version = new_version
             encoded = encode_segment_diff(diff)
             self.diff_cache.put(state.name, from_version, new_version, encoded)
-            # The backup gets the record first, so its hop, apply and fsync
-            # overlap ours; both hand-offs stay under the segment write
-            # lock, so stream, commit and WAL order agree.  The commit is
-            # durable *before* the reply leaves: once a client sees the
-            # ack, no crash may lose this version (a crash in between
-            # leaves the backup one unacknowledged version ahead, undone
-            # by _replicate_append's duplicate rule).  An append failure
-            # degrades durability but must not fail a visible commit.
+            # The sender hears of it first, so the backup's hop, apply
+            # and fsync overlap ours; both steps stay under the segment
+            # write lock, so stream, commit and WAL order agree.  The
+            # commit is durable *before* the reply leaves: once a client
+            # sees the ack, no crash may lose this version (a crash in
+            # between leaves the backup one unacknowledged version ahead,
+            # undone by _replicate_append's duplicate rule).  An append
+            # failure degrades durability but must not fail a commit.
             if self.replicator is not None:
-                ticket = self.replicator.append_diff(
-                    state.name, from_version, new_version, encoded, now,
-                    ticket=self.quorum_ack)
+                self.replicator.announce(state.name, new_version)
+                if self.quorum_ack:
+                    quorum_version = new_version
             if self.wal is not None:
                 try:
                     self.wal.append(state.name, from_version, new_version,
@@ -724,22 +723,23 @@ class InterWeaveServer(Dispatcher):
         # the quorum wait also runs outside the segment lock — the
         # release is not acknowledged yet, but readers and other
         # segments' writers must not stall on the backup link
-        self._await_quorum(ticket)
+        self._await_quorum(request.segment, quorum_version)
         return reply
 
-    def _await_quorum(self, ticket) -> None:
+    def _await_quorum(self, segment: str, version: Optional[int]) -> None:
         """Quorum-ack mode: hold the release reply until the backup acks
-        the replicated diff (bounded), degrading to async on timeout."""
-        if ticket is None:
+        ``version`` (bounded), degrading to async on timeout."""
+        if version is None:
             return
         started = time.perf_counter()
-        acked = ticket.wait(self.quorum_timeout) and ticket.ok
+        acked = self.replicator.wait_acked(segment, version,
+                                           self.quorum_timeout)
         self._m_quorum_wait.observe(time.perf_counter() - started)
         if acked:
             self._m_quorum_acks.inc()
         else:
-            # the commit is already durable (WAL) and queued for the
-            # backup; replying now trades RPO=0 for availability
+            # the commit is already durable (WAL) and announced to the
+            # sender; replying now trades RPO=0 for availability
             self._m_quorum_degrades.inc()
             _log.warning("quorum-ack release degraded to async after "
                          "%.3fs", time.perf_counter() - started)
@@ -1039,9 +1039,24 @@ class InterWeaveServer(Dispatcher):
         return replayed
 
     def attach_replicator(self, replicator) -> None:
-        """Feed committed diffs and lease transitions to ``replicator``
+        """Announce commits and lease transitions to ``replicator``
         (a :class:`~repro.replication.ReplicationSender`)."""
         self.replicator = replicator
+
+    def replication_record(self, segment_name: str,
+                           version: int) -> Optional[tuple]:
+        """The committed diff ``version - 1 -> version`` of a segment as
+        ``(encoded, timestamp)``, or None once it has left the diff cache
+        or the version history.  Takes no segment lock and counts no
+        cache hit or miss: the replication sender reads here, and
+        ``diff_cache.hit_rate`` measures reader traffic."""
+        with self._table():
+            entry = self.segments.get(segment_name)
+        timestamp = entry and entry.state.version_times.get(version)
+        encoded = self.diff_cache.peek(segment_name, version - 1, version)
+        if timestamp is None or encoded is None:
+            return None
+        return encoded, timestamp
 
     def export_segment(self, segment_name: str):
         """A consistent (version, checkpoint image, cached diffs) triple
@@ -1057,15 +1072,17 @@ class InterWeaveServer(Dispatcher):
 
     def lease_of(self, segment_name: str) -> tuple:
         """The segment's current ``(writer, expiry)`` — ``("", 0.0)``
-        when unlocked or unknown.  The replication sender re-asserts
-        this after every catchup, since a catchup installs fresh segment
-        state at the backup and wipes the mirrored lease."""
+        when unlocked or unknown.  The replication sender ships it
+        whenever the replica mirrors another (after a grant, a release,
+        or a catchup, which wipes the replica's lease)."""
         with self._table():
             entry = self.segments.get(segment_name)
         if entry is None:
             return "", 0.0
         with entry.meta:
-            return entry.writer or "", entry.writer_expires
+            if entry.writer is None:
+                return "", 0.0
+            return entry.writer, entry.writer_expires
 
     def promote(self) -> None:
         """Backup becomes primary: start serving client traffic.
@@ -1085,29 +1102,24 @@ class InterWeaveServer(Dispatcher):
         if request.kind == REPL_PROMOTE:
             self.promote()
             return ReplicateAck(ok=True)
+        if request.kind not in (REPL_LEASE, REPL_DIFF):
+            raise ServerError(f"unknown replication record kind {request.kind}")
+        with self._table():
+            entry = self.segments.get(request.segment)
+        if entry is None:
+            # a segment this backup has never seen: it needs the data (a
+            # catchup) before a diff or a lease means anything
+            return ReplicateAck(ok=False)
         if request.kind == REPL_LEASE:
-            with self._table():
-                entry = self.segments.get(request.segment)
-            if entry is None:
-                # lease for a segment this backup has never seen: it needs
-                # the data before the lease means anything
-                return ReplicateAck(ok=False)
             with entry.meta:
                 entry.writer = request.writer or None
                 entry.writer_expires = request.lease_expiry
             if self.replicator is not None:
                 # chained replication: a backup forwards every record it
                 # applies to its own downstream backup
-                self.replicator.append_lease(request.segment, request.writer,
-                                             request.lease_expiry)
+                self.replicator.announce(request.segment, entry.state.version)
             self._m_replica_appends.inc()
             return ReplicateAck(ok=True, version=entry.state.version)
-        if request.kind != REPL_DIFF:
-            raise ServerError(f"unknown replication record kind {request.kind}")
-        with self._table():
-            entry = self.segments.get(request.segment)
-        if entry is None:
-            return ReplicateAck(ok=False)
         from repro.wire import decode_segment_diff
 
         with self._write_locked(entry):
@@ -1116,9 +1128,9 @@ class InterWeaveServer(Dispatcher):
                 # a duplicate (sender retry) is acked only if it is the very
                 # record applied here: an upstream that restarted behind us
                 # sends other bytes, and the nack has it reinstall the segment
-                applied = (request.from_version, request.to_version,
-                           request.payload) in self.diff_cache.entries_for(
-                               state.name)
+                applied = self.diff_cache.peek(
+                    state.name, request.from_version,
+                    request.to_version) == request.payload
                 return ReplicateAck(ok=applied, version=state.version)
             if request.from_version != state.version:
                 # gap: the stream skipped versions (e.g. the backup
@@ -1132,12 +1144,10 @@ class InterWeaveServer(Dispatcher):
             with entry.meta:
                 entry.writer = None
             if self.replicator is not None:
-                # chained replication (primary → backup → backup): enqueued
-                # under the segment write lock so the downstream stream keeps
-                # version order, ahead of the local fsync as in _release
-                self.replicator.append_diff(state.name, request.from_version,
-                                            new_version, request.payload,
-                                            request.timestamp)
+                # chained replication (primary → backup → backup): announced
+                # under the segment write lock, ahead of the local fsync as
+                # in _release
+                self.replicator.announce(state.name, new_version)
             if self.wal is not None:
                 try:
                     self.wal.append(state.name, request.from_version,
@@ -1192,10 +1202,10 @@ class InterWeaveServer(Dispatcher):
             except WALError:
                 self._m_wal_errors.inc()
         if self.replicator is not None:
-            # a chained backup just replaced this segment wholesale; its
-            # own downstream now has a gap that no future nack may ever
-            # surface (quiet segment) — propagate the catchup explicitly
-            self.replicator.request_catchup(request.segment)
+            # a chained backup just replaced this segment wholesale: what
+            # its downstream holds is no longer known, so it catches up too
+            self.replicator.announce(request.segment, state.version,
+                                     resync=True)
         self._m_replica_catchups.inc()
         return ReplicateAck(ok=True, version=state.version)
 

@@ -45,7 +45,7 @@ from repro.errors import (
     TransportError,
     TransportTimeout,
 )
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import OwnerCounters, get_registry
 from repro.transport.base import Channel
 from repro.transport.retry import RetryPolicy, is_retryable
 from repro.transport.tcp import (
@@ -196,10 +196,16 @@ class _MuxCore:
         self._closed = False
         #: the channels' reconnect hooks, run after a reconnect
         self.listeners: List[Callable[[], None]] = []
-        self.reconnects = 0
-        self.orphans = 0
         self.last_error: Optional[str] = None
         metrics = get_registry()
+        #: this core's parts of the registry counters
+        self.reconnects = OwnerCounters(self, metrics, "transport", {
+            "reconnects": "channel connections re-established",
+        }).parts.reconnects
+        self.orphans = OwnerCounters(self, metrics, "transport.mux", {
+            "orphan_replies": "replies that arrived after their waiter "
+                              "gave up (or duplicates)",
+        }).parts.orphan_replies
         self._m_inflight = metrics.gauge(
             "transport.mux.inflight",
             "requests awaiting replies on TCP client channels")
@@ -209,11 +215,6 @@ class _MuxCore:
         self._m_queue_wait = metrics.histogram(
             "transport.mux.send_queue_wait_seconds",
             help="time requests waited behind another send or a reconnect")
-        self._m_orphans = metrics.counter(
-            "transport.mux.orphan_replies",
-            "replies that arrived after their waiter gave up (or duplicates)")
-        self._m_reconnects = metrics.counter(
-            "transport.reconnects", "channel connections re-established")
         self._m_reconnect_seconds = metrics.histogram(
             "transport.reconnect_seconds",
             help="time spent re-establishing lost connections")
@@ -247,8 +248,7 @@ class _MuxCore:
             raise
         with self._lock:
             self._conn = conn
-        self.reconnects += 1
-        self._m_reconnects.inc()
+        self.reconnects.inc()
         self._m_reconnect_seconds.observe(time.perf_counter() - started)
         if self._closed:  # close() raced the connect: it must not leak
             self._drop(conn, TransportError("channel is closed"))
@@ -399,8 +399,7 @@ class _MuxCore:
                     continue
             # a late reply after a give-up, a duplicate after a resend, or
             # the server's (0, 0) unattributable-error marker
-            self.orphans += 1
-            self._m_orphans.inc()
+            self.orphans.inc()
 
     def _send_frames(self, batch: list) -> Optional[list]:
         """The send section's socket call: one gathered ``sendmsg``.
@@ -492,10 +491,10 @@ class TCPChannel(Channel):
         self._seq_lock = threading.Lock()
         self._next_seq = 0
         self._close_event = threading.Event()
-        self.retries = 0
         metrics = get_registry()
-        self._m_retries = metrics.counter(
-            "transport.retries", "requests retried after a transient fault")
+        self._retries = OwnerCounters(self, metrics, "transport", {
+            "retries": "requests retried after a transient fault",
+        }).parts.retries
         self._m_resends = metrics.counter(
             "transport.mux.resends",
             "in-flight frames re-sent after a per-request timeout or reconnect")
@@ -507,7 +506,11 @@ class TCPChannel(Channel):
 
     @property
     def reconnects(self) -> int:
-        return self._core.reconnects
+        return self._core.reconnects.value
+
+    @property
+    def retries(self) -> int:
+        return self._retries.value
 
     def submit(self, data: bytes) -> _Slot:
         """Send a request and return its future without blocking."""
@@ -557,8 +560,7 @@ class TCPChannel(Channel):
                         f"{failures + 1} attempts: {failure}") from failure
                 raise failure
             failures += 1
-            self.retries += 1
-            self._m_retries.inc()
+            self._retries.inc()
             self._m_resends.inc()
             # waiting on the close event (not time.sleep) lets a
             # concurrent close() abort the backoff at once
@@ -581,10 +583,10 @@ class TCPChannel(Channel):
             "multiplexed": True,
             "owns_core": self._owns_core,
             "inflight": core.inflight,
-            "reconnects": core.reconnects,
+            "reconnects": core.reconnects.value,
             "retries": self.retries,
             "resends": self.retries,
-            "orphan_replies": core.orphans,
+            "orphan_replies": core.orphans.value,
             "last_error": core.last_error,
             "session_nonce": self._nonce,
             "next_seq": self._next_seq,
@@ -647,7 +649,7 @@ class MuxConnectionPool:
                 "endpoint": core.endpoint,
                 "connected": core.connected,
                 "inflight": core.inflight,
-                "reconnects": core.reconnects,
+                "reconnects": core.reconnects.value,
             } for server, core in self._cores.items()}
 
     def close(self) -> None:

@@ -32,7 +32,7 @@ from repro.errors import (
     TransportError,
     TransportTimeout,
 )
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import OwnerCounters, get_registry
 from repro.transport.base import Channel
 
 #: Error types a retry may safely follow (given idempotent re-delivery).
@@ -120,19 +120,24 @@ class RetryingChannel(Channel):
         self._clock = clock
         self._handler = None
         self._listener: Optional[Callable[[], None]] = None
-        self.retries = 0
-        self.reconnects = 0
-        metrics = get_registry()
-        self._m_retries = metrics.counter(
-            "transport.retries", "requests retried after a transient fault")
-        self._m_reconnects = metrics.counter(
-            "transport.reconnects", "channel connections re-established")
+        self._counts = OwnerCounters(self, get_registry(), "transport", {
+            "retries": "requests retried after a transient fault",
+            "reconnects": "channel connections re-established",
+        }).parts
         self._inner = factory()
         self._broken = False
 
     @property
     def can_push(self):  # type: ignore[override]
         return self._inner.can_push
+
+    @property
+    def retries(self) -> int:
+        return self._counts.retries.value
+
+    @property
+    def reconnects(self) -> int:
+        return self._counts.reconnects.value
 
     @property
     def stats(self):
@@ -189,8 +194,7 @@ class RetryingChannel(Channel):
                         f"request failed after {failures + 1} attempts: "
                         f"{error}") from error
                 failures += 1
-                self.retries += 1
-                self._m_retries.inc()
+                self._counts.retries.inc()
                 self._sleep(delay)
 
     def _reopen(self) -> None:
@@ -203,8 +207,7 @@ class RetryingChannel(Channel):
         self._inner.reconnect_listener = self._listener
         if self._handler is not None and self._inner.can_push:
             self._inner.set_notification_handler(self._handler)
-        self.reconnects += 1
-        self._m_reconnects.inc()
+        self._counts.reconnects.inc()
         if self._listener is not None:
             self._listener()
 

@@ -12,7 +12,7 @@ import struct
 from typing import Union
 
 from repro.errors import WireFormatError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Instruments
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -20,6 +20,10 @@ _F64 = struct.Struct(">d")
 
 #: Anything the codec can read from or splice into a buffer without a copy.
 Buffer = Union[bytes, bytearray, memoryview]
+
+
+_bytes_copied = Instruments(
+    lambda metrics: metrics.counter("wire.bytes_copied"))
 
 
 def count_bytes_copied(amount: int) -> None:
@@ -32,7 +36,7 @@ def count_bytes_copied(amount: int) -> None:
     ``bytes_copied / payload_bytes`` is measurable per release.
     """
     if amount:
-        get_registry().counter("wire.bytes_copied").inc(amount)
+        _bytes_copied().inc(amount)
 
 
 class Writer:

@@ -32,12 +32,13 @@ out by its ``runs`` property for inspection, never used on a data path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import WireFormatError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Instruments
 from repro.wire.codec import (Reader as _Reader, Writer as _Writer,
                               count_bytes_copied)
 
@@ -291,6 +292,14 @@ def decode_block_diff(reader: _Reader) -> BlockDiff:
     )
 
 
+_diff_metrics = Instruments(lambda metrics: SimpleNamespace(
+    encoded=metrics.counter("wire.diff.encoded"),
+    encoded_bytes=metrics.counter("wire.diff.encoded_bytes"),
+    runs_encoded=metrics.counter("wire.diff.runs_encoded"),
+    decoded=metrics.counter("wire.diff.decoded"),
+    decoded_bytes=metrics.counter("wire.diff.decoded_bytes")))
+
+
 def encode_segment_diff_into(out: _Writer, diff: SegmentDiff) -> int:
     """Encode a segment diff into an existing Writer; returns bytes written.
 
@@ -311,10 +320,10 @@ def encode_segment_diff_into(out: _Writer, diff: SegmentDiff) -> int:
     for block_diff in diff.block_diffs:
         encode_block_diff(block_diff, out)
     written = out.tell() - start
-    metrics = get_registry()
-    metrics.counter("wire.diff.encoded").inc()
-    metrics.counter("wire.diff.encoded_bytes").inc(written)
-    metrics.counter("wire.diff.runs_encoded").inc(
+    metrics = _diff_metrics()
+    metrics.encoded.inc()
+    metrics.encoded_bytes.inc(written)
+    metrics.runs_encoded.inc(
         sum(bd.columns.run_count for bd in diff.block_diffs))
     return written
 
@@ -355,9 +364,9 @@ def decode_segment_diff_from(reader: _Reader, length: int) -> SegmentDiff:
     is mutable (a recyclable receive buffer), the diff is materialized
     before returning so retained views can never alias recycled memory.
     """
-    metrics = get_registry()
-    metrics.counter("wire.diff.decoded").inc()
-    metrics.counter("wire.diff.decoded_bytes").inc(length)
+    metrics = _diff_metrics()
+    metrics.decoded.inc()
+    metrics.decoded_bytes.inc(length)
     diff = _decode_segment_diff_body(reader, reader.offset + length)
     if _buffer_is_writable(reader.data):
         diff.materialize()

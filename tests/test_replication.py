@@ -1,5 +1,6 @@
 """Tests for primary-backup replication, promotion, and client failover."""
 
+import sys
 import threading
 import time
 
@@ -23,7 +24,6 @@ from repro.types import INT, ArrayDescriptor
 from repro.wire.messages import (
     LOCK_WRITE,
     REPL_DIFF,
-    REPL_LEASE,
     ErrorReply,
     LockAcquireReply,
     LockAcquireRequest,
@@ -49,15 +49,37 @@ class FailableDispatcher(Dispatcher):
 
 class GatedDispatcher(Dispatcher):
     """Wraps a server; with the gate closed every request blocks until it
-    reopens — a reachable-but-slow backup link."""
+    reopens — a reachable-but-slow backup link.  ``arrivals`` counts the
+    requests that entered the link."""
 
     def __init__(self, inner):
         self.inner = inner
         self.gate = threading.Event()
         self.gate.set()
+        self.arrivals = 0
 
     def dispatch(self, client_id: str, data: bytes) -> bytes:
+        self.arrivals += 1
         self.gate.wait(30.0)
+        return self.inner.dispatch(client_id, data)
+
+
+class RefuseOneDiff(Dispatcher):
+    """Wraps a server; once ``armed``, answers the next diff record with
+    an error reply, as a backup whose apply failed would."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.armed = False
+        self.refused = False
+
+    def dispatch(self, client_id: str, data: bytes) -> bytes:
+        request = decode_message(data)
+        if (self.armed and isinstance(request, ReplicateAppendRequest)
+                and request.kind == REPL_DIFF):
+            self.armed = False
+            self.refused = True
+            return encode_message(ErrorReply(message="apply failed"))
         return self.inner.dispatch(client_id, data)
 
 
@@ -85,6 +107,17 @@ def build_pair(clock, lease_duration=30.0):
                                metrics=MetricsRegistry())
     primary.attach_replicator(sender)
     return hub, primary, backup, sender
+
+
+def seed_segment(hub, clock):
+    """A writer ``w`` and segment ``primary/data`` at version 1."""
+    client = InterWeaveClient("w", X86_32, hub.connect, clock=clock)
+    seg = client.open_segment("primary/data")
+    client.wl_acquire(seg)
+    array = client.malloc(seg, ArrayDescriptor(INT, 8), name="a")
+    array.write_values(list(range(8)))
+    client.wl_release(seg)
+    return client, seg, array
 
 
 def write_round(client, seg, array, base):
@@ -275,56 +308,66 @@ class TestFailover:
 
 
 class TestSelfHealingStream:
-    def _seed_segment(self, hub, clock):
-        client = InterWeaveClient("w", X86_32, hub.connect, clock=clock)
-        seg = client.open_segment("primary/data")
-        client.wl_acquire(seg)
-        array = client.malloc(seg, ArrayDescriptor(INT, 8), name="a")
-        array.write_values(list(range(8)))
-        client.wl_release(seg)
-        return client, seg, array
-
-    def test_overflow_never_evicts_lease_records(self):
-        """Regression: the queue bound used to drop the oldest record
-        unconditionally; a dropped REPL_LEASE is never healed by the
-        data-only catchup, so only diff records may be evicted."""
+    def test_stalled_backup_converges_past_a_tiny_diff_cache(self):
+        """While the link stalls, the primary's small diff cache loses the
+        versions the backup lacks; once it reopens the backup converges
+        through exactly one catchup, the stream resumes from the cache,
+        and the writer's lease is mirrored."""
         clock = VirtualClock()
         hub = InProcHub(clock=clock)
         primary = InterWeaveServer("primary", sink=hub, clock=clock,
+                                   diff_cache_bytes=2048,
                                    metrics=MetricsRegistry())
         backup = InterWeaveServer("backup", clock=clock, role="backup",
                                   metrics=MetricsRegistry())
         gated = GatedDispatcher(backup)
         hub.register_server("primary", primary)
         hub.register_server("backup", gated)
-        metrics = MetricsRegistry()
         sender = ReplicationSender(primary, hub.connect("backup", "!repl"),
-                                   metrics=metrics, max_queue=2)
+                                   metrics=MetricsRegistry())
         primary.attach_replicator(sender)
-        client, seg, array = self._seed_segment(hub, clock)
+        client = InterWeaveClient("w", X86_32, hub.connect, clock=clock)
+        seg = client.open_segment("primary/data")
+        client.wl_acquire(seg)
+        array = client.malloc(seg, ArrayDescriptor(INT, 256), name="a")
+        array.write_values(list(range(256)))
+        client.wl_release(seg)
         assert sender.flush()
+        catchups = backup._m_replica_catchups.value
 
         gated.gate.clear()
-        # the worker grabs this record and blocks mid-ship on the gate
-        sender.append_diff("primary/data", 1, 2, b"blocked", 0.0)
-        assert wait_until(lambda: sender._busy and not sender._queue)
-        sender.append_lease("primary/data", "writerA", 99.0)
-        sender.append_diff("primary/data", 2, 3, b"x", 0.0)
-        sender.append_diff("primary/data", 3, 4, b"y", 0.0)  # overflows
-
-        with sender._cv:
-            kinds = [item.record.kind for item in sender._queue]
-        assert REPL_LEASE in kinds  # the lease survived the eviction
-        assert kinds.count(REPL_DIFF) == 1  # a diff was evicted instead
-        assert metrics.counter("replication.overflow_drops").value >= 1
-        assert "primary/data" in sender.dirty_segments()
-
-        # once the link recovers, the probe heals the gap the eviction
-        # (and the garbage in-flight payloads) opened
+        arrivals = gated.arrivals
+        for base in range(1, 9):  # each diff is about 1 KiB
+            client.wl_acquire(seg)
+            array.write_values([1000 * base + i for i in range(256)])
+            client.wl_release(seg)
+            if base == 1:
+                # the sender is stuck shipping this round, not a catchup
+                assert wait_until(lambda: gated.arrivals > arrivals)
+        assert primary.replication_record("primary/data", 2) is None
         gated.gate.set()
         assert sender.flush(timeout=10.0)
-        assert (backup.segments["primary/data"].state.version
-                == primary.segments["primary/data"].state.version)
+        assert backup._m_replica_catchups.value == catchups + 1
+        p_state = primary.segments["primary/data"].state
+        assert backup.segments["primary/data"].state.version == p_state.version
+
+        # the stream resumes from the cache: no further catchup
+        appends = backup._m_replica_appends.value
+        write_round(client, seg, array, 5000)
+        client.wl_acquire(seg)  # the writer holds the lease at the crash
+        assert sender.flush()
+        assert backup._m_replica_catchups.value == catchups + 1
+        # the diff, and the lease once or twice (grant, release, grant)
+        assert 2 <= backup._m_replica_appends.value - appends <= 3
+        b_state = backup.segments["primary/data"].state
+        assert b_state.version == p_state.version
+        assert b_state.read_block_wire(1) == p_state.read_block_wire(1)
+        backup.promote()
+        probe = hub.connect("backup", "writerB")
+        denied = decode_message(probe.request(encode_message(
+            LockAcquireRequest(segment="primary/data", mode=LOCK_WRITE,
+                               client_id="writerB", client_version=0))))
+        assert isinstance(denied, LockAcquireReply) and not denied.granted
         sender.close()
 
     def test_catchup_reasserts_live_lease(self):
@@ -341,7 +384,7 @@ class TestSelfHealingStream:
                                   metrics=MetricsRegistry())
         hub.register_server("primary", primary)
         hub.register_server("backup", backup)
-        client, seg, array = self._seed_segment(hub, clock)
+        client, seg, array = seed_segment(hub, clock)
 
         # attach the sender only now: the backup has a gap, so the next
         # record nacks and triggers a catchup
@@ -351,7 +394,7 @@ class TestSelfHealingStream:
         primary.attach_replicator(sender)
         client.wl_acquire(seg)  # writer holds the lease across the crash
         assert sender.flush()
-        assert metrics.counter("replication.lease_reasserts").value >= 1
+        assert backup._m_replica_catchups.value == 1
 
         backup.promote()
         probe = hub.connect("backup", "writerB")
@@ -364,7 +407,7 @@ class TestSelfHealingStream:
     def test_probe_heals_quiet_segment_after_channel_recovery(self):
         """A diff lost to a transport error on a quiet segment used to
         leave the backup divergent until the next client write; the
-        dirty-segment probe converges it as soon as the link recovers."""
+        sender retries it from the cursor on the next flush."""
         clock = VirtualClock()
         hub = InProcHub(clock=clock)
         primary = InterWeaveServer("primary", sink=hub, clock=clock,
@@ -374,25 +417,20 @@ class TestSelfHealingStream:
         failable = FailableDispatcher(backup)
         hub.register_server("primary", primary)
         hub.register_server("backup", failable)
-        metrics = MetricsRegistry()
         sender = ReplicationSender(primary, hub.connect("backup", "!repl"),
-                                   metrics=metrics)
+                                   metrics=MetricsRegistry())
         primary.attach_replicator(sender)
-        client, seg, array = self._seed_segment(hub, clock)
+        client, seg, array = seed_segment(hub, clock)
         assert sender.flush()
 
         failable.dead = True
         write_round(client, seg, array, 100)  # the last write ever
         assert not sender.flush(timeout=0.5)
-        assert "primary/data" in sender.dirty_segments()
         assert (backup.segments["primary/data"].state.version
                 < primary.segments["primary/data"].state.version)
 
         failable.dead = False
-        sender._on_reconnect()  # what Channel.reconnect_listener fires
         assert sender.flush()
-        assert sender.dirty_segments() == set()
-        assert metrics.counter("replication.catchup_probes").value >= 1
         b_state = backup.segments["primary/data"].state
         p_state = primary.segments["primary/data"].state
         assert b_state.version == p_state.version
@@ -414,7 +452,7 @@ class TestSelfHealingStream:
         sender = ReplicationSender(primary, hub.connect("backup", "!repl"),
                                    metrics=MetricsRegistry())
         primary.attach_replicator(sender)
-        client, seg, array = self._seed_segment(hub, clock)
+        client, seg, array = seed_segment(hub, clock)
         other = client.open_segment("primary/other")
         client.wl_acquire(other)
         brr = client.malloc(other, ArrayDescriptor(INT, 4), name="b")
@@ -426,13 +464,44 @@ class TestSelfHealingStream:
         write_round(client, seg, array, 100)  # quiet segment gets a gap
         assert not sender.flush(timeout=0.5)
         failable.dead = False
-        # a write on a *different* segment ships fine and wakes the probe
+        # a write on a *different* segment runs a pass that heals both
         client.wl_acquire(other)
         brr.write_values([5, 6, 7, 8])
         client.wl_release(other)
         assert sender.flush()
         assert (backup.segments["primary/data"].state.version
                 == primary.segments["primary/data"].state.version)
+        sender.close()
+
+
+    def test_error_reply_heals_through_a_catchup(self):
+        """A backup that answers a diff with an error holds an unknown
+        state: the sender catches it up instead of re-sending the diff."""
+        clock = VirtualClock()
+        hub = InProcHub(clock=clock)
+        primary = InterWeaveServer("primary", sink=hub, clock=clock,
+                                   metrics=MetricsRegistry())
+        backup = InterWeaveServer("backup", clock=clock, role="backup",
+                                  metrics=MetricsRegistry())
+        refusing = RefuseOneDiff(backup)
+        hub.register_server("primary", primary)
+        hub.register_server("backup", refusing)
+        metrics = MetricsRegistry()
+        sender = ReplicationSender(primary, hub.connect("backup", "!repl"),
+                                   metrics=metrics)
+        primary.attach_replicator(sender)
+        client, seg, array = seed_segment(hub, clock)
+        assert sender.flush()
+        refusing.armed = True
+        write_round(client, seg, array, 100)  # its diff draws the error
+        assert wait_until(lambda: refusing.refused)
+        assert wait_until(sender.flush)  # the pass after the error heals
+        assert metrics.counter("replication.errors").value == 1
+        p_state = primary.segments["primary/data"].state
+        b_state = backup.segments["primary/data"].state
+        assert b_state.version == p_state.version
+        assert b_state.read_block_wire(1) == p_state.read_block_wire(1)
+        assert backup._m_replica_catchups.value == 2
         sender.close()
 
 
@@ -497,7 +566,10 @@ class TestPromotionUnderBacklog:
         sender.close()
         coordinator.close()
 
-    def test_abandon_empties_queue_and_fails_tickets(self):
+    def test_abandon_stops_the_stream(self):
+        """Three releases behind a stalled link: ``abandon()`` reports the
+        three versions the backup never acknowledged, and no request
+        reaches the backup after it."""
         clock = VirtualClock()
         hub = InProcHub(clock=clock)
         primary = InterWeaveServer("primary", sink=hub, clock=clock,
@@ -510,20 +582,26 @@ class TestPromotionUnderBacklog:
         metrics = MetricsRegistry()
         sender = ReplicationSender(primary, hub.connect("backup", "!repl"),
                                    metrics=metrics)
+        primary.attach_replicator(sender)
+        client, seg, array = seed_segment(hub, clock)
+        assert sender.flush()
+        shipped = backup.segments["primary/data"].state.version
+        assert shipped == 1
+
         gated.gate.clear()
-        sender.append_diff("primary/data", 0, 1, b"swallowed", 0.0)
-        assert wait_until(lambda: sender._busy and not sender._queue)
-        tickets = [sender.append_diff("primary/data", v, v + 1, b"x", 0.0,
-                                      ticket=True) for v in (1, 2, 3)]
+        for base in (100, 200, 300):
+            write_round(client, seg, array, base)
         assert not sender.flush(timeout=0.2)
-        abandoned = sender.abandon()
-        assert abandoned == 3
+        before = gated.arrivals  # one request is stuck in the stalled link
+        assert sender.abandon() == 3
         assert metrics.counter("replication.abandoned").value == 3
-        for ticket in tickets:
-            assert ticket.wait(1.0) and not ticket.ok
-        assert sender.dirty_segments() == set()
         gated.gate.set()
+        write_round(client, seg, array, 400)
+        assert not sender.flush(timeout=0.2)
         sender.close()
+        assert gated.arrivals == before
+        # at most the request that was already in the link applied
+        assert backup.segments["primary/data"].state.version <= shipped + 1
 
 
 class TestQuorumAck:
@@ -572,6 +650,111 @@ class TestQuorumAck:
         write_round(client, seg, array, 100)  # must not hang or fail
         assert primary.segments["primary/data"].state.version == 2
         assert primary._m_quorum_degrades.value >= 1
+        sender.close()
+
+    def test_write_section_makes_at_most_two_requests(self):
+        """Steady state: a quorum write section ships its diff and at
+        most one lease record; nothing else crosses the link."""
+        clock = VirtualClock()
+        hub = InProcHub(clock=clock)
+        primary = InterWeaveServer("primary", sink=hub, clock=clock,
+                                   quorum_ack=True, quorum_timeout=5.0,
+                                   metrics=MetricsRegistry())
+        backup = InterWeaveServer("backup", clock=clock, role="backup",
+                                  metrics=MetricsRegistry())
+        gated = GatedDispatcher(backup)
+        hub.register_server("primary", primary)
+        hub.register_server("backup", gated)
+        sender = ReplicationSender(primary, hub.connect("backup", "!repl"),
+                                   metrics=MetricsRegistry())
+        primary.attach_replicator(sender)
+        client, seg, array = seed_segment(hub, clock)
+        assert sender.flush()
+        before = gated.arrivals
+        for base in range(1, 21):
+            write_round(client, seg, array, 100 * base)
+        assert sender.flush()
+        assert gated.arrivals - before <= 2 * 20
+        assert backup._m_replica_catchups.value == 1
+        assert primary._m_quorum_acks.value == 21
+        assert primary._m_quorum_degrades.value == 0
+        sender.close()
+
+    def test_concurrent_quorum_writers_all_acked(self):
+        """Four writers on four segments (more threads than cores) under a
+        short switch interval: every release is quorum-acked and every
+        segment converges; a lost cursor update or wake-up degrades or
+        strands one."""
+        clock = VirtualClock()
+        hub, primary, backup, failable, sender = self.build(
+            clock, quorum_ack=True, quorum_timeout=5.0)
+        names = [f"primary/s{index}" for index in range(4)]
+        errors = []
+
+        def writer(name):
+            try:
+                client = InterWeaveClient(name[-2:], X86_32, hub.connect,
+                                          clock=clock)
+                seg = client.open_segment(name)
+                client.wl_acquire(seg)
+                array = client.malloc(seg, ArrayDescriptor(INT, 8), name="a")
+                array.write_values(list(range(8)))
+                client.wl_release(seg)
+                for round_ in range(1, 25):
+                    write_round(client, seg, array, 100 * round_)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(name,))
+                       for name in names]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert primary._m_quorum_acks.value == 4 * 25
+        assert primary._m_quorum_degrades.value == 0
+        assert sender.flush()
+        for name in names:
+            p_state = primary.segments[name].state
+            b_state = backup.segments[name].state
+            assert b_state.version == p_state.version == 25
+            assert b_state.read_block_wire(1) == p_state.read_block_wire(1)
+        sender.close()
+
+    def test_sender_reads_count_no_cache_traffic(self):
+        """The sender reads diffs out of the primary's cache without
+        moving its hit/miss tallies, which measure reader traffic."""
+        clock = VirtualClock()
+        hub = InProcHub(clock=clock)
+        primary = InterWeaveServer("primary", sink=hub, clock=clock,
+                                   metrics=MetricsRegistry())
+        backup = InterWeaveServer("backup", clock=clock, role="backup",
+                                  metrics=MetricsRegistry())
+        gated = GatedDispatcher(backup)
+        hub.register_server("primary", primary)
+        hub.register_server("backup", gated)
+        sender = ReplicationSender(primary, hub.connect("backup", "!repl"),
+                                   metrics=MetricsRegistry())
+        primary.attach_replicator(sender)
+        client, seg, array = seed_segment(hub, clock)
+        assert sender.flush()
+        gated.gate.clear()
+        for base in (100, 200, 300, 400):
+            write_round(client, seg, array, base)
+        tallies = (primary.diff_cache.hits, primary.diff_cache.misses)
+        appends = backup._m_replica_appends.value
+        gated.gate.set()
+        assert sender.flush()
+        assert backup._m_replica_appends.value - appends >= 4
+        assert backup.segments["primary/data"].state.version == 5
+        assert (primary.diff_cache.hits, primary.diff_cache.misses) == tallies
         sender.close()
 
     def test_quorum_timeout_must_be_positive(self):
@@ -736,11 +919,8 @@ class TestReplicateThenLog:
         client.wl_release(seg)
         write_round(client, seg, array, 100)
         assert sender.flush()
-        p_state = primary.segments["primary/data"].state
         b_state = backup.segments["primary/data"].state
         assert b_state.version == 2
-        # (one so far: a catchup is how a replica first gets a segment)
-        catchups = backup._m_replica_catchups.value
         from_v, to_v, encoded = primary.diff_cache.entries_for(
             "primary/data")[-1]
         assert (from_v, to_v) == (1, 2)
@@ -764,13 +944,6 @@ class TestReplicateThenLog:
         assert not refused.ok and refused.version == 2
         # neither lookup touched the tallies the ledger reads
         assert (backup.diff_cache.hits, backup.diff_cache.misses) == tallies
-        # through the sender, the nack becomes a catchup from the primary
-        sender.append_diff("primary/data", from_v, to_v, other, 0.0)
-        assert sender.flush()
-        assert backup._m_replica_catchups.value == catchups + 1
-        healed = backup.segments["primary/data"].state
-        assert healed.version == p_state.version == 2
-        assert healed.read_block_wire(1) == p_state.read_block_wire(1)
         sender.close()
 
     def test_crash_after_send_before_fsync_heals_on_the_next_write(
@@ -845,6 +1018,85 @@ class TestReplicateThenLog:
         assert list(writer.accessor_for(seg2, "a").read_values()) \
             == [500 + i for i in range(8)]
         sender2.close()
+        restarted.close()
+
+    def test_chained_catchup_never_guesses_the_downstream_cursor(
+            self, tmp_path):
+        """A primary restarts one version behind its chain and commits
+        two more versions before it reconnects.  The first backup
+        installs a catchup *past* its downstream's cursor; the
+        downstream's copy of the lost version has other bytes, so the
+        next diff must not be applied on it: the downstream catches up
+        too."""
+        clock = VirtualClock()
+        hub = InProcHub(clock=clock)
+        b1 = InterWeaveServer("b1", sink=hub, clock=clock, role="backup",
+                              metrics=MetricsRegistry())
+        b2 = InterWeaveServer("b2", clock=clock, role="backup",
+                              metrics=MetricsRegistry())
+        primary = InterWeaveServer("primary", sink=hub, clock=clock,
+                                   wal_dir=str(tmp_path),
+                                   metrics=MetricsRegistry())
+        switch = FailableDispatcher(primary)  # its server is swapped below
+        hub.register_server("primary", switch)
+        hub.register_server("b1", b1)
+        hub.register_server("b2", b2)
+        sender2 = ReplicationSender(b1, hub.connect("b2", "!repl2"),
+                                    metrics=MetricsRegistry())
+        b1.attach_replicator(sender2)
+        sender1 = ReplicationSender(primary, hub.connect("b1", "!repl1"),
+                                    metrics=MetricsRegistry())
+        primary.attach_replicator(sender1)
+        client = InterWeaveClient("w", X86_32, hub.connect, clock=clock)
+        seg = client.open_segment("primary/data")
+        client.wl_acquire(seg)
+        kept = client.malloc(seg, ArrayDescriptor(INT, 8), name="kept")
+        kept.write_values(list(range(8)))
+        array = client.malloc(seg, ArrayDescriptor(INT, 8), name="a")
+        array.write_values([100 + i for i in range(8)])
+        client.wl_release(seg)
+        write_round(client, seg, array, 200)  # version 2, durable
+
+        primary.wal = CrashingWAL(primary.wal)
+        primary.wal.armed = True
+        client.wl_acquire(seg)
+        array.write_values([900 + i for i in range(8)])
+        with pytest.raises(ServerError, match="crash"):
+            client.wl_release(seg)  # version 3 reaches the chain only
+        assert sender1.flush() and sender2.flush()
+        assert b2.segments["primary/data"].state.version == 3
+        sender1.close()
+        primary.close()
+
+        restarted = InterWeaveServer("primary", sink=hub, clock=clock,
+                                     wal_dir=str(tmp_path),
+                                     metrics=MetricsRegistry())
+        restarted.recover_segments()
+        switch.inner = restarted
+        writer = InterWeaveClient("w2", X86_32, hub.connect, clock=clock)
+        seg2 = writer.open_segment("primary/data", create=False)
+        writer.wl_acquire(seg2)
+        writer.accessor_for(seg2, "a").write_values(
+            [500 + i for i in range(8)])
+        writer.wl_release(seg2)  # another version 3
+        writer.wl_acquire(seg2)
+        writer.accessor_for(seg2, "kept").write_values(
+            [50 + i for i in range(8)])
+        writer.wl_release(seg2)  # version 4, which leaves "a" alone
+        sender1 = ReplicationSender(restarted, hub.connect("b1", "!repl3"),
+                                    metrics=MetricsRegistry())
+        restarted.attach_replicator(sender1)
+        writer.wl_acquire(seg2)
+        assert sender1.flush() and sender2.flush()
+        p_state = restarted.segments["primary/data"].state
+        for replica in (b1, b2):
+            state = replica.segments["primary/data"].state
+            assert state.version == p_state.version == 4
+            for serial in (1, 2):
+                assert (state.read_block_wire(serial)
+                        == p_state.read_block_wire(serial))
+        sender2.close()
+        sender1.close()
         restarted.close()
 
     def test_chain_keeps_version_order_under_interleaved_writes(self):
