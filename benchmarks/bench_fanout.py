@@ -24,7 +24,10 @@ The origin runs with a private :class:`MetricsRegistry`, so its
 ``server.requests`` counter isolates exactly the traffic that reached
 it in each mode.  Acceptance bars (asserted by the pytest entries
 below): the proxy must cut origin requests by >= 4x and raise aggregate
-read-validate throughput by >= 2x.  Observed ratios are far above both.
+read-validate throughput by >= 2x.  Measured on a 2-core host: a 42x
+origin-request reduction and a 2.7x throughput ratio in one run, but
+the throughput ratio has also read 1.5-1.99 there, so that bar does
+not hold on every run.
 
 Results land in ``BENCH_fanout.json`` at the repo root plus a metrics
 sidecar in ``benchmarks/out/``.

@@ -6,7 +6,7 @@ the segment; the first store to each page raises SIGSEGV, and the signal
 handler makes a pristine copy (*twin*) of the page, records it in the
 subsegment's pagemap, and re-enables write access.
 
-Python cannot take real page faults, so this module is the stand-in: an
+Python does not take real page faults, so this module is the stand-in: an
 :class:`AddressSpace` of mappings, each one contiguous buffer with one
 protection flag per page.  Every store issued by the typed accessor
 layer goes through :meth:`AddressSpace.store`; a store that touches

@@ -57,7 +57,7 @@ import json
 import logging
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
 from repro.client.routing import Resolver
 from repro.coherence import CoherencePolicy
@@ -73,7 +73,8 @@ from repro.server.compose import compose_from_cache
 from repro.server.diff_cache import DiffCache
 from repro.transport.base import Channel, Dispatcher, NotificationSink, NullSink
 from repro.util.clock import Clock, WallClock
-from repro.wire import SegmentDiff, decode_segment_diff, encode_segment_diff
+from repro.wire import SegmentDiff, encode_segment_diff
+from repro.wire.diff import stamped_wire
 from repro.wire.messages import (
     COHERENCE_DIFF,
     COHERENCE_FULL,
@@ -490,9 +491,11 @@ class CachingProxy(Dispatcher):
             reply = ErrorReply(
                 f"internal proxy error: {type(exc).__name__}: {exc}")
         self._m_dispatch.observe(time.perf_counter() - started)
-        return encode_message(reply)
+        # a forwarded reply is already the origin's bytes
+        return reply if isinstance(reply, bytes) else encode_message(reply)
 
-    def _handle(self, client_id: str, request: Message, raw: bytes) -> Message:
+    def _handle(self, client_id: str, request: Message,
+                raw: bytes) -> Union[Message, bytes]:
         if isinstance(request, GetStatsRequest):
             return self._get_stats()
         if isinstance(request, SubscribeRequest):
@@ -509,16 +512,18 @@ class CachingProxy(Dispatcher):
 
     # -- forwarding ---------------------------------------------------------------
 
-    def _forward(self, client_id: str, request: Message, raw: bytes) -> Message:
+    def _forward(self, client_id: str, request: Message,
+                 raw: bytes) -> Union[Message, bytes]:
+        """Send ``raw`` upstream; return the origin's reply bytes."""
         segment = getattr(request, "segment", None)
         origin = self._origin_of(segment)
         failed_over = False
-        reply: Message = ErrorReply(
-            f"redirect chase for {segment!r} exceeded {_REDIRECT_FOLLOWS} hops")
+        answer = None
         for _follow in range(1 + _REDIRECT_FOLLOWS):
             channel = self._client_channel(origin, client_id)
             try:
-                reply = decode_message(channel.request(raw))
+                answer = channel.request(raw)
+                reply = decode_message(answer)
             except TransportError:
                 if failed_over or segment is None or \
                         not self._failed_over(segment):
@@ -531,6 +536,9 @@ class CachingProxy(Dispatcher):
             self._counts.redirects_followed.inc()
             self._learn_binding(reply.segment, reply.origin, reply.generation)
             origin = reply.origin
+        if answer is None:
+            return ErrorReply(f"redirect chase for {segment!r} exceeded "
+                              f"{_REDIRECT_FOLLOWS} hops")
         # a RedirectReply that survives the chase goes downstream: the
         # client's own resolver is the authority of last resort
         self._counts.forwards.inc()
@@ -540,7 +548,7 @@ class CachingProxy(Dispatcher):
         except InterWeaveError:
             # learning is an optimization; the reply is already correct
             _log.exception("proxy failed to absorb a forwarded reply")
-        return reply
+        return answer
 
     def _learn_from(self, client_id: str, request: Message,
                     reply: Message) -> None:
@@ -583,13 +591,10 @@ class CachingProxy(Dispatcher):
                 diff = request.diff
                 if diff is not None and reply.version > diff.from_version and \
                         (diff.block_diffs or diff.new_types):
-                    # stamp and cache the writer's diff exactly as the
-                    # origin does: it is the precise update every other
+                    # stamp and cache the writer's bytes exactly as the
+                    # origin does: they are the precise update every other
                     # reader of this segment needs next
-                    for block_diff in diff.block_diffs:
-                        block_diff.version = reply.version
-                    diff.to_version = reply.version
-                    self._absorb_diff(entry, diff)
+                    self._absorb_diff(entry, diff, stamp=reply.version)
                     modified = sum(bd.covered_units()
                                    for bd in diff.block_diffs)
                     entry.coherence.on_new_version(modified)
@@ -615,12 +620,18 @@ class CachingProxy(Dispatcher):
             if reply.deleted:
                 self._drop_entry(request.segment)
 
-    def _absorb_diff(self, entry: _SegmentRelay, diff: SegmentDiff) -> None:
-        """Cache an encoded diff; caller holds ``entry.lock``."""
-        self.diff_cache.put(entry.name, diff.from_version, diff.to_version,
-                            encode_segment_diff(diff))
+    def _absorb_diff(self, entry: _SegmentRelay, diff: SegmentDiff,
+                     stamp: Optional[int] = None) -> None:
+        """Cache a diff's bytes as received, or stamped with the version a
+        forwarded write release made; caller holds ``entry.lock``."""
+        if stamp is None:
+            to_version, encoded = diff.to_version, diff.wire
+        else:
+            to_version, encoded = stamp, stamped_wire(diff, stamp)
+        self.diff_cache.put(entry.name, diff.from_version, to_version,
+                            encoded)
         if diff.from_version <= entry.data_version:
-            entry.data_version = max(entry.data_version, diff.to_version)
+            entry.data_version = max(entry.data_version, to_version)
 
     def _observe_version(self, entry: _SegmentRelay, version: int,
                          now: float) -> None:
@@ -781,7 +792,7 @@ class CachingProxy(Dispatcher):
     # -- locally served reads -----------------------------------------------------
 
     def _validate_read(self, client_id: str, request: LockAcquireRequest,
-                       raw: bytes) -> Message:
+                       raw: bytes) -> Union[Message, bytes]:
         policy = CoherencePolicy(request.coherence_kind,
                                  request.coherence_param)
         if policy.kind == COHERENCE_DIFF:
@@ -830,7 +841,7 @@ class CachingProxy(Dispatcher):
                                 lease_remaining=0.0, diff=diff)
 
     def _fetch(self, client_id: str, request: FetchRequest,
-               raw: bytes) -> Message:
+               raw: bytes) -> Union[Message, bytes]:
         entry = self._lookup(request.segment)
         if entry is None:
             return self._forward(client_id, request, raw)
@@ -855,7 +866,7 @@ class CachingProxy(Dispatcher):
         return FetchReply(version=version, diff=diff)
 
     def _release_read(self, client_id: str, request: LockReleaseRequest,
-                      raw: bytes) -> Message:
+                      raw: bytes) -> Union[Message, bytes]:
         entry = self._lookup(request.segment)
         if entry is None:
             return self._forward(client_id, request, raw)
@@ -865,19 +876,21 @@ class CachingProxy(Dispatcher):
         return LockReleaseReply(version=version)
 
     def _cached_update(self, entry: _SegmentRelay, from_version: int,
-                       to_version: int) -> Optional[SegmentDiff]:
-        """The update diff from cached bytes, or None (→ forward)."""
+                       to_version: int) -> Optional[bytes]:
+        """The encoded update: cached bytes as they are, or a cached chain
+        composed and encoded once for cache and reply; None → forward."""
         if from_version >= to_version:
             return None
         encoded = self.diff_cache.get(entry.name, from_version, to_version)
         if encoded is not None:
-            return decode_segment_diff(encoded)
+            return encoded
         diff = compose_from_cache(self.diff_cache, entry.name, from_version,
                                   to_version, max_span=self.compose_limit)
-        if diff is not None:
-            self.diff_cache.put(entry.name, from_version, to_version,
-                                encode_segment_diff(diff))
-        return diff
+        if diff is None:
+            return None
+        encoded = encode_segment_diff(diff)
+        self.diff_cache.put(entry.name, from_version, to_version, encoded)
+        return encoded
 
     # -- subscriptions ------------------------------------------------------------
 

@@ -42,6 +42,7 @@ from repro.transport.base import Dispatcher, NotificationSink, NullSink
 from repro.util.clock import Clock, WallClock
 from repro.util.rwlock import ReaderWriterLock
 from repro.wire import SegmentDiff, encode_segment_diff
+from repro.wire.diff import stamped_wire
 from repro.wire.messages import (
     LOCK_READ,
     LOCK_WRITE,
@@ -679,14 +680,11 @@ class InterWeaveServer(Dispatcher):
             entry.coherence.on_new_version(modified_units)
             entry.coherence.on_client_updated(client_id, new_version,
                                               entry.coherence.view(client_id).policy)
-            # re-encode once; the DiffCache retains this buffer, the WAL
-            # writes it as-is (split frame, no re-copy), and the
-            # replication sender reads it back from the cache to ship
-            # it — one encoded buffer per release across all three tiers
-            for block_diff in diff.block_diffs:
-                block_diff.version = new_version
-            diff.to_version = new_version
-            encoded = encode_segment_diff(diff)
+            # the writer's bytes, stamped: the DiffCache retains this
+            # buffer, the WAL writes it as-is (split frame, no re-copy),
+            # and the replication sender ships it from the cache — one
+            # buffer per release across all three tiers, never re-encoded
+            encoded = stamped_wire(diff, new_version)
             self.diff_cache.put(state.name, from_version, new_version, encoded)
             # The sender hears of it first, so the backup's hop, apply
             # and fsync overlap ours; both steps stay under the segment
@@ -890,24 +888,24 @@ class InterWeaveServer(Dispatcher):
     # -- update construction -----------------------------------------------------------
 
     def _update_for(self, state: ServerSegment,
-                    client_version: int) -> Optional[SegmentDiff]:
+                    client_version: int) -> Optional[bytes]:
+        """The encoded update from ``client_version``: a cached buffer as
+        it is, or one composed or built now and encoded once for both."""
         if client_version >= state.version:
             return None
         cached = self.diff_cache.get(state.name, client_version, state.version)
         if cached is not None:
-            from repro.wire import decode_segment_diff
-
             self._counts.updates_served_from_cache.inc()
-            return decode_segment_diff(cached)
+            return cached
         diff = self._compose_from_cache(state, client_version)
         if diff is None:
             diff = state.build_update(client_version)
             if diff is None:
                 return None
             self._counts.updates_built.inc()
-        self.diff_cache.put(state.name, client_version, state.version,
-                            encode_segment_diff(diff))
-        return diff
+        encoded = encode_segment_diff(diff)
+        self.diff_cache.put(state.name, client_version, state.version, encoded)
+        return encoded
 
     def _compose_from_cache(self, state: ServerSegment,
                             client_version: int) -> Optional[SegmentDiff]:
@@ -1137,6 +1135,12 @@ class InterWeaveServer(Dispatcher):
                 # attached late); only a catchup can close it
                 return ReplicateAck(ok=False, version=state.version)
             diff = decode_segment_diff(request.payload)
+            step = (request.from_version, request.from_version + 1)
+            if request.to_version != step[1] or \
+                    (diff.from_version, diff.to_version) != step:
+                # a record is one version step, by its label and its own
+                # words: a promoted backup serves its cache as it is
+                return ReplicateAck(ok=False, version=state.version)
             new_version = state.apply_client_diff(diff, now=request.timestamp)
             self.diff_cache.put(state.name, request.from_version, new_version,
                                 request.payload)

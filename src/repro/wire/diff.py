@@ -185,6 +185,11 @@ class SegmentDiff:
     to_version: int
     block_diffs: List[BlockDiff] = field(default_factory=list)
     new_types: List[Tuple[int, bytes]] = field(default_factory=list)
+    #: set by decoding: the diff's encoded span as received, and the
+    #: offsets in it of the ``to_version`` word and of each block's
+    #: ``version`` word (see :func:`stamped_wire`)
+    wire: Optional[RunData] = field(default=None, compare=False, repr=False)
+    version_words: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def is_full(self) -> bool:
@@ -204,6 +209,9 @@ class SegmentDiff:
         """
         for block_diff in self.block_diffs:
             block_diff.columns.materialize()
+        if self.wire is not None and not isinstance(self.wire, bytes):
+            self.wire = bytes(self.wire)
+            count_bytes_copied(len(self.wire))
 
 
 # ---------------------------------------------------------------------------
@@ -342,32 +350,37 @@ def _buffer_is_writable(data) -> bool:
     return False
 
 
-def _decode_segment_diff_body(reader: _Reader, end: int) -> SegmentDiff:
+def _decode_segment_diff_body(wire: memoryview) -> SegmentDiff:
+    reader = _Reader(wire)
     segment = reader.text()
     from_version = reader.u32()
+    version_words = [reader.offset]
     to_version = reader.u32()
     new_types = []
     for _ in range(reader.u32()):
         serial = reader.u32()
         new_types.append((serial, reader.blob()))
-    block_diffs = [decode_block_diff(reader) for _ in range(reader.u32())]
-    if reader.offset != end:
+    block_diffs = []
+    for _ in range(reader.u32()):
+        version_words.append(reader.offset + 5)  # after serial and flags
+        block_diffs.append(decode_block_diff(reader))
+    if not reader.at_end():
         raise WireFormatError("trailing bytes after segment diff")
     return SegmentDiff(segment, from_version, to_version, block_diffs,
-                       new_types)
+                       new_types, wire, tuple(version_words))
 
 
 def decode_segment_diff_from(reader: _Reader, length: int) -> SegmentDiff:
     """Decode a diff in place from ``length`` bytes at the reader's cursor.
 
-    Run payloads come back as views over ``reader.data``; if that buffer
-    is mutable (a recyclable receive buffer), the diff is materialized
-    before returning so retained views can never alias recycled memory.
+    Run payloads and ``wire`` come back as views over ``reader.data``; if
+    that buffer is mutable (a recyclable receive buffer), the diff is
+    materialized before returning so retained views never alias it.
     """
     metrics = _diff_metrics()
     metrics.decoded.inc()
     metrics.decoded_bytes.inc(length)
-    diff = _decode_segment_diff_body(reader, reader.offset + length)
+    diff = _decode_segment_diff_body(reader.raw_view(length))
     if _buffer_is_writable(reader.data):
         diff.materialize()
     return diff
@@ -375,3 +388,20 @@ def decode_segment_diff_from(reader: _Reader, length: int) -> SegmentDiff:
 
 def decode_segment_diff(data) -> SegmentDiff:
     return decode_segment_diff_from(_Reader(data), len(data))
+
+
+def stamped_wire(diff: SegmentDiff, version: int) -> bytes:
+    """A decoded diff's ``wire`` with its ``to_version`` word and every
+    block's ``version`` word set to ``version``, in one copy: byte-equal
+    to re-encoding the diff with those fields set, since decode -> encode
+    is a fixed point (``tests/test_wire_golden.py``)."""
+    word = version.to_bytes(4, "big")
+    wire = memoryview(diff.wire)
+    parts, at = [], 0
+    for offset in diff.version_words:
+        parts += (wire[at:offset], word)
+        at = offset + 4
+    parts.append(wire[at:])
+    stamped = b"".join(parts)
+    count_bytes_copied(len(stamped))
+    return stamped

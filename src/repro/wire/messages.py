@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Type
+from typing import (Callable, Dict, List, NamedTuple, Optional, Tuple, Type,
+                    Union)
 
 from repro.errors import WireFormatError
-from repro.wire.codec import Reader, Writer, count_bytes_copied
+from repro.wire.codec import Buffer, Reader, Writer, count_bytes_copied
 from repro.wire.diff import (SegmentDiff, decode_segment_diff_from,
                              encode_segment_diff_into)
 
@@ -75,9 +76,16 @@ class Kind(NamedTuple):
     get: Callable[[Reader], object]
 
 
-def _encode_optional_diff(out: Writer, diff: Optional[SegmentDiff]) -> None:
+def _encode_optional_diff(out: Writer,
+                          diff: Union[None, SegmentDiff, Buffer]) -> None:
     if diff is None:
         out.boolean(False)
+    elif not isinstance(diff, SegmentDiff):
+        # an already-encoded diff (a DiffCache hit, upstream bytes) is
+        # spliced as received: the one copy its reply takes
+        count_bytes_copied(len(diff))
+        out.boolean(True)
+        out.blob(diff)
     else:
         # encode straight into the message buffer (reserve the length
         # word, backpatch after) instead of via scratch bytes re-copied
@@ -312,7 +320,9 @@ class LockAcquireReply(Message):
     #: server renews the lease on every request the writer sends for the
     #: segment and may reclaim the lock once the lease lapses
     lease_remaining: float = 0.0
-    diff: Optional[SegmentDiff] = None  # update, when the cache is stale
+    #: update, when the cache is stale.  A sender may put the diff's
+    #: encoded bytes here; a decoded reply always holds a SegmentDiff
+    diff: Union[None, SegmentDiff, Buffer] = None
 
 
 @message(66, U32)
@@ -323,7 +333,9 @@ class LockReleaseReply(Message):
 @message(67, U32, OPT_DIFF)
 class FetchReply(Message):
     version: int
-    diff: Optional[SegmentDiff] = None  # None when already current
+    #: None when already current; encoded bytes or a SegmentDiff as in
+    #: LockAcquireReply.diff
+    diff: Union[None, SegmentDiff, Buffer] = None
 
 
 @message(68, BOOL)

@@ -89,6 +89,15 @@ class TestDiffCoherenceCounter:
         coherence.on_new_version(60)  # same units in reality; server can't know
         assert coherence.is_stale(view, 3, total, 0.0, None)
 
+    def test_exactly_at_the_bound_is_fresh(self):
+        """``modified * 100 == x * total`` still meets Diff(x%); one unit
+        more breaks it."""
+        coherence, view, total = self.make(10)
+        coherence.on_new_version(100)
+        assert not coherence.is_stale(view, 2, total, 0.0, None)
+        coherence.on_new_version(1)
+        assert coherence.is_stale(view, 3, total, 0.0, None)
+
     def test_empty_segment_is_stale(self):
         coherence, view, _ = self.make(10)
         assert coherence.is_stale(view, 5, 0, 0.0, None)
@@ -109,6 +118,18 @@ class TestTemporalCoherence:
         view.version = 3
         view.policy = temporal(10.0)
         assert coherence.is_stale(view, 5, 100, now=30.0, superseded_time=15.0)
+
+    def test_exactly_at_the_bound_is_fresh(self):
+        """Superseded exactly ``t`` ago still meets Temporal(t); any
+        later is past it."""
+        coherence = SegmentCoherence()
+        view = coherence.view("c")
+        view.version = 3
+        view.policy = temporal(2.5)
+        assert not coherence.is_stale(view, 5, 100, now=17.5,
+                                      superseded_time=15.0)
+        assert coherence.is_stale(view, 5, 100, now=17.75,
+                                  superseded_time=15.0)
 
     def test_never_superseded_not_stale(self):
         coherence = SegmentCoherence()
@@ -280,3 +301,76 @@ class TestAdaptiveUnsubscribe:
         reader.rl_acquire(seg_r)
         assert reader.accessor_for(seg_r, "v").get() == 9
         reader.rl_release(seg_r)
+
+
+class TestBoundsAtTheServer:
+    """The same bounds decided by a server read validation; past the
+    bound, the update comes from the diff cache."""
+
+    def setup_method(self):
+        from repro import InProcHub, InterWeaveClient, InterWeaveServer, VirtualClock
+        from repro.arch import X86_32
+        from repro.client import ClientOptions
+        from repro.obs.metrics import MetricsRegistry
+        from repro.types import INT, ArrayDescriptor
+
+        self.clock = VirtualClock(100.0)
+        self.server = InterWeaveServer("h", clock=self.clock,
+                                       metrics=MetricsRegistry())
+        hub = InProcHub(clock=self.clock)
+        hub.register_server("h", self.server)
+        self.writer = InterWeaveClient(
+            "w", X86_32, hub.connect, clock=self.clock,
+            options=ClientOptions(enable_notifications=False))
+        self.seg = self.writer.open_segment("h/s")
+        self.writer.wl_acquire(self.seg)
+        self.array = self.writer.malloc(self.seg, ArrayDescriptor(INT, 200),
+                                        name="a")
+        self.array.write_values(list(range(200)))
+        self.writer.wl_release(self.seg)
+
+    def write(self, indices):
+        self.writer.wl_acquire(self.seg)
+        for index in indices:
+            self.array[index] = -1 - index
+        self.writer.wl_release(self.seg)
+
+    def validate(self, client_version, kind, param):
+        from repro.wire.messages import (LOCK_READ, LockAcquireRequest,
+                                         decode_message, encode_message)
+
+        reply = decode_message(self.server.dispatch("r", encode_message(
+            LockAcquireRequest("h/s", LOCK_READ, "r", client_version,
+                               kind, param))))
+        assert reply.granted
+        return reply
+
+    def served_from_cache(self):
+        return self.server.stats.updates_served_from_cache
+
+    def test_diff_percent(self):
+        from repro.wire.messages import COHERENCE_DIFF
+
+        assert self.validate(0, COHERENCE_DIFF, 5.0).version == 1
+        self.write(range(10))  # 10 of 200 units: exactly 5 %
+        reply = self.validate(1, COHERENCE_DIFF, 5.0)
+        assert (reply.version, reply.diff) == (2, None)
+        served = self.served_from_cache()
+        self.write([100])
+        reply = self.validate(1, COHERENCE_DIFF, 5.0)
+        assert (reply.diff.from_version, reply.diff.to_version) == (1, 3)
+        assert self.served_from_cache() == served + 1
+
+    def test_temporal(self):
+        from repro.wire.messages import COHERENCE_TEMPORAL
+
+        assert self.validate(0, COHERENCE_TEMPORAL, 2.5).version == 1
+        self.write([0])  # version 2 supersedes the reader's at t = 100
+        self.clock.advance(2.5)
+        reply = self.validate(1, COHERENCE_TEMPORAL, 2.5)
+        assert (reply.version, reply.diff) == (2, None)
+        served = self.served_from_cache()
+        self.clock.advance(0.25)
+        reply = self.validate(1, COHERENCE_TEMPORAL, 2.5)
+        assert (reply.diff.from_version, reply.diff.to_version) == (1, 2)
+        assert self.served_from_cache() == served + 1

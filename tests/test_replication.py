@@ -21,12 +21,15 @@ from repro.errors import ServerError, TransportError
 from repro.obs.metrics import MetricsRegistry
 from repro.transport.base import Dispatcher
 from repro.types import INT, ArrayDescriptor
+from repro.wire import decode_segment_diff
+from repro.wire.diff import stamped_wire
 from repro.wire.messages import (
     LOCK_WRITE,
     REPL_DIFF,
     ErrorReply,
     LockAcquireReply,
     LockAcquireRequest,
+    ReplicateAck,
     ReplicateAppendRequest,
     decode_message,
     encode_message,
@@ -757,10 +760,98 @@ class TestQuorumAck:
         assert (primary.diff_cache.hits, primary.diff_cache.misses) == tallies
         sender.close()
 
+    def test_first_release_with_a_stalled_backup_degrades(self):
+        """The backup's cursor is still unknown when a segment's first
+        release waits for it; an unknown cursor acknowledges nothing,
+        so the wait runs out and the release degrades to async."""
+        clock = VirtualClock()
+        hub = InProcHub(clock=clock)
+        primary = InterWeaveServer("primary", sink=hub, clock=clock,
+                                   metrics=MetricsRegistry(),
+                                   quorum_ack=True, quorum_timeout=0.1)
+        backup = InterWeaveServer("backup", clock=clock, role="backup",
+                                  metrics=MetricsRegistry())
+        gated = GatedDispatcher(backup)
+        gated.gate.clear()
+        hub.register_server("primary", primary)
+        hub.register_server("backup", gated)
+        sender = ReplicationSender(primary, hub.connect("backup", "!repl"),
+                                   metrics=MetricsRegistry())
+        primary.attach_replicator(sender)
+        try:
+            started = time.monotonic()
+            client, seg, array = seed_segment(hub, clock)
+            assert time.monotonic() - started >= 0.1
+            assert primary.segments["primary/data"].state.version == 1
+            assert primary._m_quorum_degrades.value == 1
+            assert primary._m_quorum_acks.value == 0
+        finally:
+            gated.gate.set()
+            sender.close()
+
     def test_quorum_timeout_must_be_positive(self):
         with pytest.raises(ServerError):
             InterWeaveServer("s", quorum_timeout=0.0,
                              metrics=MetricsRegistry())
+
+
+class TestMislabelledAppend:
+    """A diff record is applied, cached and logged under the versions it
+    names, and a promoted backup serves cached entries to readers as they
+    are, so a label that is not one step, or that the payload's own
+    versions contradict, is refused and changes nothing."""
+
+    def build(self, tmp_path):
+        clock = VirtualClock()
+        hub = InProcHub(clock=clock)
+        primary = InterWeaveServer("primary", sink=hub, clock=clock,
+                                   metrics=MetricsRegistry())
+        backup = InterWeaveServer("backup", clock=clock, role="backup",
+                                  wal_dir=str(tmp_path),
+                                  metrics=MetricsRegistry())
+        hub.register_server("primary", primary)
+        hub.register_server("backup", backup)
+        sender = ReplicationSender(primary, hub.connect("backup", "!repl"),
+                                   metrics=MetricsRegistry())
+        primary.attach_replicator(sender)
+        client, seg, array = seed_segment(hub, clock)
+        assert sender.flush()
+        sender.close()  # the next record is ours to label
+        write_round(client, seg, array, 100)
+        payload = primary.diff_cache.peek("primary/data", 1, 2)
+        assert payload is not None
+        return backup, payload
+
+    def append(self, backup, from_version, to_version, payload):
+        reply = decode_message(backup.dispatch("!repl", encode_message(
+            ReplicateAppendRequest(kind=REPL_DIFF, segment="primary/data",
+                                   from_version=from_version,
+                                   to_version=to_version, payload=payload))))
+        assert isinstance(reply, ReplicateAck)
+        return reply
+
+    def footprint(self, backup, tmp_path):
+        state = backup.segments["primary/data"].state
+        return (state.version, state.read_block_values(1),
+                dict(backup.diff_cache._entries),
+                [path.read_bytes() for path in sorted(tmp_path.iterdir())])
+
+    @pytest.mark.parametrize("mislabel", ["not_one_step", "payload_versions"])
+    def test_mislabelled_append_is_nacked_and_changes_nothing(
+            self, tmp_path, mislabel):
+        backup, payload = self.build(tmp_path)
+        before = self.footprint(backup, tmp_path)
+        # the payload says 1 -> 3: a label that matches it spans two
+        # versions, and a one-step label contradicts it
+        other = stamped_wire(decode_segment_diff(payload), 3)
+        reply = self.append(backup, 1, 3 if mislabel == "not_one_step" else 2,
+                            other)
+        assert (reply.ok, reply.version) == (False, 1)
+        assert self.footprint(backup, tmp_path) == before
+        # the same bytes under their own versions still apply
+        assert self.append(backup, 1, 2, payload).ok
+        assert backup.segments["primary/data"].state.version == 2
+        assert backup.diff_cache.peek("primary/data", 1, 2) == payload
 
 
 class TestChainedReplication:

@@ -241,33 +241,41 @@ def test_large_update_builds_no_diffrun_and_copies_nothing_at_apply(
     assert applies == [(runs, 0)]
 
 
-#: what the cycle below moved at f650dcc, with one exception:
+#: what the cycle below moved at f650dcc, except for the codec rows.
 #: ``wire.bytes_copied`` was 581 there — 100 bytes more, the payload of the
 #: 25-run update that the client's apply re-joined (the bug pinned above),
 #: and 58 more, the four pointer runs (two at the server, two at the
 #: reader) whose payload the per-unit apply copied wholesale before
-#: copying each unit out of the copy
+#: copying each unit out of the copy.  Then it was 423, three payload
+#: copies per release (the writer's encode, the server's re-encode after
+#: apply, the reply's encode of the decoded cache hit), with six encodes
+#: and six decodes of 1845 bytes.  Now only the writer encodes (2 of 615
+#: bytes) and only the server's release and the reader decode (4 of
+#: 1230): the server stamps the release's received bytes (615 copied) and
+#: splices the cached buffer into the read reply (615 more), so 141 + 615
+#: + 615 bytes are copied.
 RECORDED_COUNTERS = {
     "client.collect.runs": 2,
     "client.collect.nodiff_runs": 0,
     "client.collect.diff_runs": 30,
     "client.collect.rle_bytes": 141,
     "client.collect.modified_units": 30,
-    "wire.bytes_copied": 423,
+    "wire.bytes_copied": 1371,
     "wire.swizzle.pointers_to_mips": 2,
     "wire.swizzle.mips_to_pointers": 4,  # server's MIP store + reader
-    "wire.diff.encoded": 6,
-    "wire.diff.encoded_bytes": 1845,
-    "wire.diff.decoded": 6,
-    "wire.diff.decoded_bytes": 1845,
-    "wire.diff.runs_encoded": 90,
+    "wire.diff.encoded": 2,
+    "wire.diff.encoded_bytes": 615,
+    "wire.diff.decoded": 4,
+    "wire.diff.decoded_bytes": 1230,
+    "wire.diff.runs_encoded": 30,
 }
 
 
 def test_data_plane_counters_match_recorded_values():
     """Counting a diff's runs reads ``columns.run_count``, never the
-    object view — and the numbers are the ones the ``DiffRun``-list
-    implementation produced for this fixed cycle (recorded at f650dcc)."""
+    object view — and the numbers are the ones recorded above for this
+    fixed cycle (the data-plane rows as the ``DiffRun``-list
+    implementation produced them at f650dcc)."""
     from repro.types import PointerDescriptor
 
     world = _RelayWorld(relay=False)
