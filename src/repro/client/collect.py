@@ -96,16 +96,21 @@ def map_ranges_to_blocks(subsegment: SubSegment, byte_starts, byte_ends,
                          skip_serials, arch, coalesce_layouts: bool = True):
     """Map changed byte ranges onto blocks as primitive-unit run arrays.
 
-    Word runs can span block boundaries (headers and all); each block\'s
-    intersection is translated through its own layout, and bytes falling
-    in headers, free space, or padding are dropped.  Returns a dict
+    The ranges are a word diff's (``changed_byte_arrays``): sorted,
+    word-aligned, and at least one unchanged word apart.  Word runs can
+    span block boundaries (headers and all); each block\'s intersection is
+    translated through its own layout, and bytes falling in headers, free
+    space, or padding are dropped.  Returns a dict
     ``serial -> (prim_starts, prim_counts)`` numpy array pairs.
 
     The sweep is array-based: for each block the overlapping slice of the
-    (sorted, disjoint) range arrays is found with searchsorted, clipped to
-    the block, and handed to the layout\'s vectorized range mapper — so a
-    fine-grained diff of tens of thousands of runs costs a few numpy
-    passes, not a tree search per run.
+    range arrays is found with searchsorted.  When the slice lies inside
+    the block\'s one dense run (a flat array) and its units split words,
+    the ranges already are unit runs: one subtraction and one division
+    map them.  Otherwise the slice is clipped to the block and handed to
+    the layout\'s vectorized range mapper — either way a fine-grained diff
+    of tens of thousands of runs costs a few numpy passes, not a tree
+    search per run.
     """
     per_block = {}
     byte_starts = np.asarray(byte_starts, dtype=np.int64)
@@ -127,12 +132,25 @@ def map_ranges_to_blocks(subsegment: SubSegment, byte_starts, byte_ends,
         hi_index = int(np.searchsorted(byte_starts, block.end, side="left"))
         if lo_index >= hi_index:
             continue
-        los = np.clip(byte_starts[lo_index:hi_index] - block.address, 0, block.size)
-        his = np.clip(byte_ends[lo_index:hi_index] - block.address, 0, block.size)
+        layout = flat_layout(block.descriptor, arch, coalesce_layouts)
+        starts = byte_starts[lo_index:hi_index]
+        ends = byte_ends[lo_index:hi_index]
+        run = layout.runs[0] if len(layout.runs) == 1 else None
+        if run is not None and run.repeat == 1 and not layout.has_variable:
+            unit, origin = run.unit_size, block.address + run.local_start
+            if (arch.word_size % unit == 0 and origin <= starts[0]
+                    and ends[-1] <= origin + run.unit_count * unit):
+                # block data starts on an allocation granule, so inside one
+                # dense run of units that split words the ranges already
+                # are unit runs, sorted and apart
+                per_block[block.serial] = ((starts - origin) // unit,
+                                           (ends - starts) // unit)
+                continue
+        los = np.clip(starts - block.address, 0, block.size)
+        his = np.clip(ends - block.address, 0, block.size)
         keep = los < his
         if not keep.any():
             continue
-        layout = flat_layout(block.descriptor, arch, coalesce_layouts)
         prim_starts, prim_counts = layout.prim_runs_for_byte_ranges(
             los[keep], his[keep])
         if prim_starts.size:

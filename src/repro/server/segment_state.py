@@ -256,18 +256,19 @@ class ServerSegment:
                          new_version: int) -> None:
         """Mark every subblock a diff's runs touch as modified now.
 
-        Interval-stabbing with a difference array, so a diff of thousands
-        of runs costs one pass instead of a slice assignment per run.
+        When every run sits in one subblock (a one-unit run always does)
+        that is one scatter; otherwise interval-stabbing with a difference
+        array, so a diff of thousands of runs costs a few passes instead
+        of a slice assignment per run.
         """
         firsts = columns.starts // SUBBLOCK_UNITS
         lasts = (columns.starts + columns.counts - 1) // SUBBLOCK_UNITS
-        if firsts.size <= 4:
-            for first, last in zip(firsts.tolist(), lasts.tolist()):
-                block.subblock_versions[first:last + 1] = new_version
+        if (firsts == lasts).all():
+            block.subblock_versions[firsts] = new_version
             return
-        delta = np.zeros(block.subblock_versions.size + 1, np.int64)
-        np.add.at(delta, firsts, 1)
-        np.add.at(delta, lasts + 1, -1)
+        size = block.subblock_versions.size + 1
+        delta = (np.bincount(firsts, minlength=size)
+                 - np.bincount(lasts + 1, minlength=size))
         touched = np.cumsum(delta[:-1]) > 0
         block.subblock_versions[touched] = new_version
 

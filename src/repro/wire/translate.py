@@ -20,7 +20,9 @@ Execution strategies, chosen per call from the layout and the input:
    of scalars): one vectorized byteswap-copy per run intersection, or,
    for a diff of more than ``_PER_RUN_MAX`` runs over a single dense
    run, one gather/scatter for the whole diff, by unit and in place on
-   the block's memory;
+   the block's memory — indexed by the runs' starts themselves when
+   every run is one unit long (every n-th word of an array), else by
+   the runs expanded to unit indices;
 2. **strided** — a uniform layout of repeated instances (array of
    records), all fixed-size: full instances are translated with strided
    numpy gathers/scatters, partial head/tail instances per-unit;
@@ -468,6 +470,9 @@ def apply_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
     buffer — with no join and no per-run objects.
     """
     starts, counts = columns.starts, columns.counts
+    if starts.size and (int(starts.min()) < 0
+                        or int((starts + counts).max()) > layout.prim_count):
+        raise WireFormatError("diff run exceeds block bounds")
     run = _gather_run(layout, columns.run_count)
     if run is None:
         if _batched(layout, counts):
@@ -482,8 +487,6 @@ def apply_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
                 raise WireFormatError(
                     f"run {index}: {len(data) - end} trailing bytes")
         return
-    if int(starts.min()) < 0 or int((starts + counts).max()) > layout.prim_count:
-        raise WireFormatError("diff run exceeds block bounds")
     carried = memoryview(columns.data).nbytes
     expected = int(counts.sum()) * run.unit_size
     if carried != expected:
@@ -508,7 +511,10 @@ def _batched(layout: FlatLayout, counts: np.ndarray) -> bool:
 
 
 def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Flat indices covering [start, start + length) of every pair."""
+    """Flat indices covering [start, start + length) of every pair: the
+    starts themselves when every length is one."""
+    if (lengths == 1).all():
+        return starts
     ends = np.cumsum(lengths)
     return (np.repeat(starts - (ends - lengths), lengths)
             + np.arange(int(ends[-1]) if ends.size else 0))

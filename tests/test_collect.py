@@ -1,26 +1,29 @@
 """Unit tests for client diff collection: word diffing, mapping, batching.
 
 ``REPRO_DIFFERENTIAL_EXAMPLES`` raises the Hypothesis budget of the
-word-diff differential test (CI runs it a second time with a large one).
+word-diff and block-mapping differential tests (CI runs them a second
+time with a large one).
 """
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import X86_32
+from repro.arch import MIPS32, SPARC_V9, X86_32, X86_64
 from repro.client.collect import (
     SPLICE_MAX_GAP_WORDS,
     changed_byte_arrays,
+    map_ranges_to_blocks,
     word_diff_arrays,
 )
 from repro.memory import (MIN_SUBSEGMENT_PAGES, AccessorContext, AddressSpace, Heap,
                           SegmentHeap, make_accessor)
-from repro.types import INT, ArrayDescriptor, flat_layout
-from repro.types.layout import merge_run_arrays
+from repro.types import CHAR, DOUBLE, HYPER, INT, SHORT, ArrayDescriptor, flat_layout
+from repro.types.layout import FlatLayout, merge_run_arrays
 from repro.wire import BlockDiff, DiffRun, TranslationContext, apply_range
 from repro.wire.translate import apply_runs, collect_range, collect_runs
 from tests._support import (as_runs, map_runs_to_blocks, twin_on_fault,
@@ -182,6 +185,101 @@ class TestWordDiffDifferential:
         assert ends.tolist() == expected_ends.tolist()
         page_words = DIFF_PAGE_SIZE // word_size
         assert all(start // page_words in twinned for start in starts.tolist())
+
+
+EXAMPLES = int(os.environ.get("REPRO_DIFFERENTIAL_EXAMPLES", "100"))
+DENSE_ELEMENTS = [CHAR, SHORT, INT, HYPER, DOUBLE]
+
+
+def map_reference(subsegment, byte_starts, byte_ends, arch):
+    """``map_ranges_to_blocks`` without its dense fast path: every block's
+    ranges clipped to the block, emptied ones dropped, and the rest
+    mapped by the layout's general ``prim_runs_for_byte_ranges``."""
+    mapped = {}
+    for _, block in subsegment.blk_addr_tree.items():
+        los = np.clip(byte_starts - block.address, 0, block.size)
+        his = np.clip(byte_ends - block.address, 0, block.size)
+        keep = los < his
+        if keep.any():
+            starts, counts = flat_layout(block.descriptor, arch) \
+                .prim_runs_for_byte_ranges(los[keep], his[keep])
+            if starts.size:
+                mapped[block.serial] = (starts.tolist(), counts.tolist())
+    return mapped
+
+
+class TestDenseMappingDifferential:
+    """Ranges inside one dense run of units no wider than a word map to
+    unit runs by one subtraction and one division; on every word diff the
+    result must equal the general mapper's (clip, mask, merge)."""
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(st.data(), st.sampled_from([X86_32, MIPS32, X86_64, SPARC_V9]),
+           st.sampled_from(DENSE_ELEMENTS), st.booleans())
+    def test_fast_mapping_equals_the_layout_mapper(self, data, arch, element,
+                                                   splice):
+        memory = AddressSpace()
+        seg = SegmentHeap("s", Heap(memory), arch)
+        # blocks before and after the one changed most, so it sits at an
+        # offset in its subsegment and ranges can cross into neighbours
+        neighbours = [seg.allocate(ArrayDescriptor(
+            data.draw(st.sampled_from(DENSE_ELEMENTS)),
+            data.draw(st.integers(1, 9))), 1)
+            for _ in range(data.draw(st.integers(0, 2)))]
+        count = data.draw(st.integers(1, 300))
+        block = seg.allocate(ArrayDescriptor(element, count), 1)
+        neighbours.append(seg.allocate(ArrayDescriptor(CHAR, 3), 1))
+        sub = block.subsegment
+        assert all(other.subsegment is sub for other in neighbours)
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        memory.store(sub.base, np.random.default_rng(seed).integers(
+            0, 256, sub.size, dtype=np.uint8).tobytes())
+        twin_on_fault(memory, sub)
+        unit = flat_layout(block.descriptor, arch).runs[0].unit_size
+        if data.draw(st.booleans()):  # every stride-th unit: many short runs
+            stride = data.draw(st.integers(1, 12))
+            units = range(data.draw(st.integers(0, stride - 1)), count, stride)
+        else:
+            units = data.draw(st.lists(st.integers(0, count - 1), max_size=40))
+        # whole units, or one byte of each: a unit wider than a word then
+        # changes only some of its words
+        lo, hi = data.draw(st.sampled_from(
+            [(0, unit)] + [(k, k + 1) for k in range(unit)]))
+        for index in units:
+            at = block.address + index * unit + lo
+            memory.store(at, bytes(b ^ 0xFF for b in memory.load(at, hi - lo)))
+        for offset in data.draw(st.lists(st.integers(0, sub.size - 1),
+                                         max_size=3)):  # headers, neighbours
+            at = sub.base + offset
+            memory.store(at, bytes([memory.load(at, 1)[0] ^ 0xFF]))
+        if sub.twins is None:
+            return
+        byte_starts, byte_ends = changed_byte_arrays(
+            memory, sub, arch.word_size, splice)
+        mapped = map_ranges_to_blocks(sub, byte_starts, byte_ends, set(), arch)
+        assert all(starts.dtype == counts.dtype == np.int64
+                   for starts, counts in mapped.values())
+        assert ({serial: (starts.tolist(), counts.tolist())
+                 for serial, (starts, counts) in mapped.items()}
+                == map_reference(sub, byte_starts, byte_ends, arch))
+
+    @pytest.mark.parametrize("arch,element", [(X86_32, INT), (X86_32, SHORT),
+                                              (X86_64, HYPER), (SPARC_V9, INT)])
+    def test_one_word_runs_never_reach_the_layout_mapper(self, arch, element):
+        memory, seg, actx = make_env(arch)
+        seg.allocate(ArrayDescriptor(CHAR, 5), 1)
+        block = seg.allocate(ArrayDescriptor(element, 1000), 1)
+        sub = block.subsegment
+        starts = np.arange(block.address, block.end, 10 * arch.word_size)
+        with mock.patch.object(FlatLayout, "prim_runs_for_byte_ranges",
+                               side_effect=AssertionError("general path")):
+            mapped = map_ranges_to_blocks(sub, starts, starts + arch.word_size,
+                                          set(), arch)
+        per_word = arch.word_size // flat_layout(
+            block.descriptor, arch).runs[0].unit_size
+        prim_starts, prim_counts = mapped[block.serial]
+        assert prim_starts.tolist() == list(range(0, 1000, 10 * per_word))
+        assert set(prim_counts.tolist()) == {per_word}
 
 
 class TestMergeRunArrays:

@@ -1,11 +1,20 @@
-"""Tests for server-side segment state: wire storage, subblocks, updates."""
+"""Tests for server-side segment state: wire storage, subblocks, updates.
 
+``REPRO_DIFFERENTIAL_EXAMPLES`` raises the Hypothesis budget of the
+subblock-stamp differential test (CI runs it a second time with a large
+one).
+"""
+
+import os
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServerError, WireFormatError
-from repro.server.segment_state import SUBBLOCK_UNITS, ServerSegment
+from repro.server.segment_state import SUBBLOCK_UNITS, ServerBlock, ServerSegment
 from repro.types import (
     INT,
     ArrayDescriptor,
@@ -14,7 +23,7 @@ from repro.types import (
     TypeRegistry,
     encode_descriptor,
 )
-from repro.wire import BlockDiff, DiffRun, SegmentDiff
+from repro.wire import BlockDiff, DiffRun, RunColumns, SegmentDiff
 
 
 def wire_ints(*values):
@@ -107,6 +116,58 @@ class TestSubblockTracking:
         (run,) = block_diff.runs
         assert (run.prim_start, run.prim_count) == (16, SUBBLOCK_UNITS)
         assert run.data == wire_ints(16, 17, 18, 19, -5, *range(21, 32))
+
+
+@st.composite
+def stamped_runs(draw):
+    """A block size and in-bounds runs: one unit long, inside one
+    subblock, or anywhere (empty, overlapping and spanning ones too)."""
+    prim_count = draw(st.integers(1, 600))
+    shape = draw(st.sampled_from(["one_unit", "within", "any"]))
+    starts = draw(st.lists(st.integers(0, prim_count - 1), max_size=60))
+    if shape == "one_unit":
+        counts = [1] * len(starts)
+    elif shape == "within":
+        counts = [draw(st.integers(1, SUBBLOCK_UNITS - start % SUBBLOCK_UNITS))
+                  for start in starts]
+    else:
+        counts = [draw(st.integers(0, prim_count - start)) for start in starts]
+    counts = [min(count, prim_count - start) for start, count in zip(starts, counts)]
+    return prim_count, np.array(starts, np.int64), np.array(counts, np.int64)
+
+
+class TestStampDifferential:
+    """``_stamp_subblocks`` (one scatter, or a difference array) against
+    a slice assignment per run."""
+
+    @settings(max_examples=int(os.environ.get("REPRO_DIFFERENTIAL_EXAMPLES", "100")),
+              deadline=None)
+    @given(stamped_runs(), st.integers(0, 2 ** 32 - 1))
+    def test_stamp_equals_a_slice_per_run(self, runs, seed):
+        prim_count, starts, counts = runs
+        block = ServerBlock(None, prim_count, 1)
+        block.subblock_versions[:] = np.random.default_rng(seed).integers(
+            0, 50, block.subblock_versions.size)
+        expected = block.subblock_versions.copy()
+        for start, count in zip(starts.tolist(), counts.tolist()):
+            expected[start // SUBBLOCK_UNITS:
+                     (start + count - 1) // SUBBLOCK_UNITS + 1] = 99
+        ServerSegment._stamp_subblocks(
+            block, RunColumns(starts, counts, counts * 4, b""), 99)
+        assert block.subblock_versions.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("start", [65, 80, 2 ** 32 - 1])
+    def test_an_empty_run_past_the_block_is_refused(self, start):
+        """Every run is bounds-checked before the stamp indexes by it,
+        empty ones and the per-run path's included."""
+        state, _ = make_segment_with_array(64)
+        bad = SegmentDiff("host/data", 1, 0, [BlockDiff(serial=1, runs=[
+            DiffRun(3, 1, wire_ints(-1)), DiffRun(start, 0, b"")])])
+        with pytest.raises(WireFormatError):
+            state.apply_client_diff(bad)
+        assert state.version == 1
+        assert state.read_block_wire(1) == wire_ints(*range(64))
+        assert state.blocks[1].subblock_versions.tolist() == [1, 1, 1, 1]
 
 
 class TestBuildUpdate:

@@ -1,4 +1,5 @@
-"""The batched pointer/string translation against the per-unit reference.
+"""The batched pointer/string translation against the per-unit reference,
+and the one-unit runs of dense arrays against the per-run reference.
 
 ``collect_runs`` / ``apply_runs`` send a layout with strings or pointers
 through one array pass once a call covers enough units, and through the
@@ -27,8 +28,11 @@ from repro.errors import BlockError, MIPError, TypeDescriptorError, WireFormatEr
 from repro.memory import AddressSpace
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.types import (
+    CHAR,
     DOUBLE,
+    HYPER,
     INT,
+    SHORT,
     ArrayDescriptor,
     Field,
     PointerDescriptor,
@@ -300,6 +304,88 @@ def test_the_call_size_chooses_the_path_and_fixed_layouts_never_ask():
                                          list(range(0, 400, 4)), [2] * 100)
         translate.apply_runs(context(memory, X86_32), ints, base, columns)
     assert not asked.called
+
+
+# -- one-unit runs over a dense array ------------------------------------------------
+#
+# A diff of every n-th word of a flat array is tens of thousands of runs
+# one unit long: they gather and scatter by their starts, with no run-index
+# expansion.  The reference is the expansion and the per-run slice path.
+
+DENSE_ELEMENTS = [CHAR, SHORT, INT, HYPER, DOUBLE]
+
+
+def expanded(starts, lengths):
+    """The run-index expansion, with no shortcut for one-unit runs."""
+    ends = np.cumsum(lengths)
+    return (np.repeat(starts - (ends - lengths), lengths)
+            + np.arange(int(ends[-1]) if ends.size else 0))
+
+
+@st.composite
+def one_unit_cases(draw, min_runs=0):
+    count = draw(st.integers(max(1, min_runs), 400))
+    starts = np.array(sorted(draw(st.lists(
+        st.integers(0, count - 1), unique=True, min_size=min_runs,
+        max_size=60))), np.int64)
+    return (ArrayDescriptor(draw(st.sampled_from(DENSE_ELEMENTS)), count),
+            starts, np.ones_like(starts), draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(one_unit_cases(), st.sampled_from(ARCHS), st.sampled_from(ARCHS),
+       st.lists(st.integers(0, 4), max_size=20))
+def test_one_unit_runs_match_the_per_run_reference(case, writer, reader, lengths):
+    descriptor, starts, counts, seed = case
+    assert translate._ragged(starts, counts).tolist() == starts.tolist()
+    lengths = np.array(lengths, np.int64)
+    assert (translate._ragged(np.arange(lengths.size) * 5, lengths).tolist()
+            == expanded(np.arange(lengths.size) * 5, lengths).tolist())
+    layout = flat_layout(descriptor, writer)
+    memory, base = filled(layout, writer, seed)
+    ctx = context(memory, writer)
+    columns = translate.collect_runs(ctx, layout, base, starts, counts)
+    pieces = [translate.collect_range(ctx, layout, base, start, 1)
+              for start in starts.tolist()]
+    assert columns == RunColumns(starts, counts, np.array(
+        [len(piece) for piece in pieces], np.int64), b"".join(pieces))
+    layout = flat_layout(descriptor, reader)
+    images = []
+    for per_run in (False, True):
+        memory, base = filled(layout, reader, seed + 1)
+        ctx = context(memory, reader)
+        if per_run:
+            for index, start in enumerate(starts.tolist()):
+                apply_range(ctx, layout, base, start, 1, pieces[index])
+        else:
+            translate.apply_runs(ctx, layout, base, RunColumns(
+                starts, counts, columns.lens, memoryview(columns.data)))
+        images.append(memory.load(base, layout.local_size))
+    assert images[0] == images[1]
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(one_unit_cases(min_runs=translate._PER_RUN_MAX + 1),
+       st.sampled_from(ARCHS), st.sampled_from(["past", "below", "short", "long"]))
+def test_bad_one_unit_runs_are_refused_and_leave_the_image_untouched(case, arch,
+                                                                    how):
+    descriptor, starts, counts, seed = case
+    layout = flat_layout(descriptor, arch)
+    memory, base = filled(layout, arch, seed)
+    ctx = context(memory, arch)
+    columns = translate.collect_runs(ctx, layout, base, starts, counts)
+    starts, data = starts.copy(), columns.data
+    if how == "past":
+        starts[-1] = layout.prim_count
+    elif how == "below":
+        starts[0] = -1
+    else:
+        data = data[:-1] if how == "short" else data + b"\x00"
+    before = memory.load(base, layout.local_size)
+    with pytest.raises(WireFormatError):
+        translate.apply_runs(ctx, layout, base,
+                             RunColumns(starts, counts, columns.lens, data))
+    assert memory.load(base, layout.local_size) == before
 
 
 # -- the client's batch hooks ---------------------------------------------------------

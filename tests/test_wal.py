@@ -24,6 +24,22 @@ def make_diff_bytes(value: int, from_version: int) -> bytes:
 
 
 class TestSegmentWAL:
+    def test_a_new_file_fsyncs_its_own_directory(self, tmp_path, monkeypatch):
+        """Creating the file makes a directory entry: the fsync that
+        makes it durable is the WAL directory's, wherever the process
+        runs."""
+        from repro.server import wal as wal_module
+
+        synced = []
+        monkeypatch.setattr(wal_module, "fsync_directory", synced.append)
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        wal = SegmentWAL(str(tmp_path / "seg.iwwal"), "host/data")
+        wal.append(0, 1, make_diff_bytes(1, 0))
+        wal.append(1, 2, make_diff_bytes(2, 1))
+        wal.close()
+        assert synced == [str(tmp_path)]
+
     def test_append_and_read_roundtrip(self, tmp_path):
         path = str(tmp_path / "seg.iwwal")
         wal = SegmentWAL(path, "host/data")

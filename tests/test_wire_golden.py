@@ -40,6 +40,12 @@ tags 11 / 15 / 75, and every ``REPL_*`` kind of tag 14.
 where every string and pointer unit was translated by the per-unit loop —
 by printing ``pointer_golden_diffs(X86_32)`` (defined below) as hex, after
 checking that SPARC-V9, Alpha and MIPS writers produced the same bytes.
+
+``GOLDEN_WAL_HEX`` was generated at commit ``b5bbfb9`` by appending
+``GOLDEN_HEX["one_run"]`` as version 1 -> 2 at timestamp 2.5 to a fresh
+``WriteAheadLog`` and printing the segment file as hex: the header
+(magic, format version, segment name) and one frame (length, CRC, record
+kind, versions, timestamp, diff).
 """
 
 import struct
@@ -48,7 +54,7 @@ import pytest
 
 from repro import InterWeaveServer
 from repro.arch import ALPHA, MIPS32, SPARC_V9, X86_32
-from repro.server.wal import WriteAheadLog
+from repro.server.wal import REC_DIFF, WriteAheadLog, _encode_header, _frame, read_wal
 from repro.types import (INT, ArrayDescriptor, Field, PointerDescriptor,
                          RecordDescriptor, StringDescriptor, TypeRegistry)
 from repro.wire import (BlockDiff, DiffRun, SegmentDiff, decode_segment_diff,
@@ -195,6 +201,12 @@ GOLDEN_POINTER_HEX = {
         "040b4032800000000000000000016100000000"
     ),
 }
+
+GOLDEN_WAL_HEX = (
+    "4957574c000000010000000b686f73742f676f6c64656e000000550948fbed00"
+    "00000001000000024004000000000000000000400000000b686f73742f676f6c"
+    "64656e0000000100000002000000000000000100000001000000000200000010"
+    "00000001000000050000000100000004fffffff9")
 
 GOLDEN_MESSAGE_HEX = {
     "open_segment": "010000000b686f73742f676f6c64656e01000000026331",
@@ -530,3 +542,24 @@ def test_wal_built_from_golden_bytes_replays(tmp_path):
                                         + text(b"host/golden#ints#7"))
     assert sorted(state.blocks) == [1, 2]
     assert state.freed_log == [(4, 3)]
+
+
+def test_wal_file_bytes_are_byte_identical(tmp_path):
+    """The on-disk WAL — header, frame and record kind — is pinned: a
+    fresh log holding one diff is the golden file, and the golden file
+    decodes to that record and re-encodes to itself."""
+    golden = bytes.fromhex(GOLDEN_WAL_HEX)
+    wal = WriteAheadLog(str(tmp_path / "new"), fsync=False)
+    wal.append("host/golden", 1, 2, bytes.fromhex(GOLDEN_HEX["one_run"]),
+               timestamp=2.5)
+    wal.close()
+    with open(wal.path_for("host/golden"), "rb") as handle:
+        assert handle.read() == golden
+    path = tmp_path / "golden.iwwal"
+    path.write_bytes(golden)
+    name, (record,), valid = read_wal(str(path))
+    assert (name, valid) == ("host/golden", len(golden))
+    assert (record.kind, record.from_version, record.to_version,
+            record.timestamp) == (REC_DIFF, 1, 2, 2.5)
+    assert decode_segment_diff(record.payload) == golden_diffs()["one_run"]
+    assert _encode_header(name) + _frame(record) == golden
